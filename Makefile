@@ -8,7 +8,7 @@ install:
 	pip install -e .
 
 test:
-	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest tests/ --durations=10
 
 # Process-pool backend subset: backend conformance over every registered
 # executor plus the shared-memory DFS / crash-recovery battery.

@@ -26,8 +26,8 @@ def one_norm(a: np.ndarray) -> float:
 def _solve_transpose(lu: LUResult, b: np.ndarray) -> np.ndarray:
     """Solve ``A^T x = b`` from ``P A = L U``: ``A^T = U^T L^T P`` so
     ``x = P^T L^-T U^-T b``."""
-    y = blocked_forward_substitute(lu.upper().T, b)
-    z = blocked_back_substitute(lu.lower().T, y, unit_diagonal=True)
+    y = blocked_forward_substitute(lu.lu.T, b)
+    z = blocked_back_substitute(lu.lu.T, y, unit_diagonal=True)
     return apply_rows(invert_perm(lu.perm), z)
 
 

@@ -7,9 +7,12 @@ triangle holds ``U``, exactly the storage convention Algorithm 1 describes.
 The pivoting permutation is returned as the compact row array ``S`` with
 ``(PA)_i = A_{S[i]}`` so that ``P A = L U``.
 
-The inner update is the rank-1 outer-product elimination step, vectorized per
-the HPC guide (one BLAS-2 update per column instead of the scalar triple loop
-in the paper's listing — same arithmetic, same operation count n^3/3 mults).
+The columns are factored by recursive halving (a panel LU): factor the left
+half, solve ``U12 = L11^-1 A12``, update ``A22 -= L21 U12`` in one GEMM,
+factor the right half; row swaps span the full width.  Panels of at most
+:data:`~repro.linalg.triangular.LEAF` columns run Algorithm 1's pivot, scale
+and rank-1 update loop directly: the same pivots and n^3/3 multiplications
+as the paper's listing, up to roundoff, mostly in matrix-matrix products.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import permutation
+from .triangular import LEAF, _solve_lower, blocked_back_substitute, blocked_forward_substitute
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -81,30 +85,40 @@ def lu_decompose(
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"LU needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
     lu = a.copy()
-    perm = permutation.identity(n)
+    perm = permutation.identity(a.shape[0])
+    _factor_panel(lu, perm, 0, a.shape[0], pivot, pivot_tol)
+    return LUResult(lu=lu, perm=perm)
 
-    for i in range(n):
+
+def _factor_panel(
+    lu: np.ndarray, perm: np.ndarray, c0: int, c1: int, pivot: bool, tol: float
+) -> None:
+    """Factor columns ``c0:c1`` of ``lu`` (rows ``c0:``) in place, applying
+    each row swap to the full rows of ``lu`` and to ``perm``."""
+    if c1 - c0 > LEAF:
+        h = (c0 + c1) // 2
+        _factor_panel(lu, perm, c0, h, pivot, tol)
+        _solve_lower(lu[c0:h, c0:h], lu[c0:h, h:c1], True, LEAF)
+        lu[h:, h:c1] -= lu[h:, c0:h] @ lu[c0:h, h:c1]
+        _factor_panel(lu, perm, h, c1, pivot, tol)
+        return
+    for i in range(c0, c1):
         if pivot:
             # Algorithm 1 line 3: pick the max |element| in column i, rows i..n.
-            rel = int(np.argmax(np.abs(lu[i:, i])))
-            j = i + rel
+            j = i + int(np.argmax(np.abs(lu[i:, i])))
             if j != i:
                 lu[[i, j], :] = lu[[j, i], :]
                 perm[[i, j]] = perm[[j, i]]
         pivot_val = lu[i, i]
-        if abs(pivot_val) <= pivot_tol:
+        if abs(pivot_val) <= tol:
             raise SingularMatrixError(
                 f"zero pivot at step {i} (|pivot|={abs(pivot_val):.3e})"
             )
-        if i + 1 < n:
-            # Lines 6-8: scale the multipliers.
-            lu[i + 1 :, i] /= pivot_val
-            # Lines 9-13: rank-1 trailing update, vectorized.
-            lu[i + 1 :, i + 1 :] -= np.outer(lu[i + 1 :, i], lu[i, i + 1 :])
-
-    return LUResult(lu=lu, perm=perm)
+        # Lines 6-8: scale the multipliers; lines 9-13: rank-1 update of the
+        # leaf panel's remaining columns.
+        lu[i + 1 :, i] /= pivot_val
+        lu[i + 1 :, i + 1 : c1] -= np.outer(lu[i + 1 :, i], lu[i, i + 1 : c1])
 
 
 def lu_reconstruct(result: LUResult) -> np.ndarray:
@@ -115,11 +129,9 @@ def lu_reconstruct(result: LUResult) -> np.ndarray:
 def solve_lu(result: LUResult, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` given ``P A = L U``: forward then back substitution
     applied to ``P b``."""
-    from .triangular import back_substitute, forward_substitute
-
     pb = permutation.apply_rows(result.perm, np.asarray(b, dtype=np.float64))
-    y = forward_substitute(result.lower(), pb, unit_diagonal=True)
-    return back_substitute(result.upper(), y)
+    y = blocked_forward_substitute(result.lu, pb, unit_diagonal=True)
+    return blocked_back_substitute(result.lu, y)
 
 
 def lu_flop_count(n: int) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from . import permutation
 from .blockwrap import contiguous_ranges
 from .lu import LUResult, SingularMatrixError, lu_decompose
-from .triangular import forward_substitute
+from .triangular import blocked_forward_substitute
 
 
 @dataclass
@@ -65,29 +65,28 @@ def tile_lu(a: np.ndarray, tile: int = 32) -> tuple[LUResult, TileTaskCount]:
         diag = lu_decompose(lu[k1:k2, k1:k2])
         counts.getrf += 1
         local_perm = diag.perm
-        swap = np.arange(n, dtype=np.int64)
-        swap[k1:k2] = k1 + local_perm
         lu[k1:k2, :] = lu[k1 + local_perm, :]
         perm[k1:k2] = perm[k1 + local_perm]
-        lu[k1:k2, k1:k2] = diag.lu
-        l_kk = diag.lower()
-        u_kk = diag.upper()
-        if np.any(np.diag(u_kk) == 0.0):
+        lu[k1:k2, k1:k2] = packed = diag.lu
+        if np.any(np.diag(packed) == 0.0):
             raise SingularMatrixError(f"singular diagonal tile at step {k}")
 
-        # TRSM row: U[k, j] = L_kk^-1 A[k, j].
+        # TRSM row: U[k, j] = L_kk^-1 A[k, j]; the solves read only their
+        # own triangle of the packed tile.
         for j1, j2 in ranges[k + 1 :]:
             if j2 <= j1:
                 continue
-            lu[k1:k2, j1:j2] = forward_substitute(
-                l_kk, lu[k1:k2, j1:j2], unit_diagonal=True
+            lu[k1:k2, j1:j2] = blocked_forward_substitute(
+                packed, lu[k1:k2, j1:j2], unit_diagonal=True
             )
             counts.trsm += 1
         # TRSM column: L[i, k] = A[i, k] U_kk^-1.
         for i1, i2 in ranges[k + 1 :]:
             if i2 <= i1:
                 continue
-            lu[i1:i2, k1:k2] = forward_substitute(u_kk.T, lu[i1:i2, k1:k2].T).T
+            lu[i1:i2, k1:k2] = blocked_forward_substitute(
+                packed.T, lu[i1:i2, k1:k2].T
+            ).T
             counts.trsm += 1
         # GEMM trailing updates.
         for i1, i2 in ranges[k + 1 :]:

@@ -1,6 +1,6 @@
 """Triangular inversion and substitution — Equation 4 of the paper.
 
-The inverse of a lower triangular matrix is computed row by row:
+The inverse of a lower triangular matrix is defined row by row:
 
     [L^-1]_ii = 1 / [L]_ii
     [L^-1]_ij = -(1/[L]_ii) * sum_{k=j}^{i-1} [L]_ik [L^-1]_kj   (i > j)
@@ -8,8 +8,13 @@ The inverse of a lower triangular matrix is computed row by row:
 A column of the inverse depends only on earlier rows of the *same* column, so
 columns are independent — this is what Section 4.3 parallelizes across
 mappers.  :func:`invert_lower_columns` computes an arbitrary column subset,
-which is exactly a map task's share; :func:`invert_lower` is the full-matrix
-convenience built on the same kernel.
+which is exactly a map task's share: it solves ``L X = I[:, columns]``.
+
+Equation 4 is evaluated blockwise: the solvers halve ``L = [[L11, 0],
+[L21, L22]]`` recursively — solve against ``L11``, subtract ``L21 @ Y1`` in
+one GEMM, solve against ``L22`` — down to diagonal blocks of at most
+:data:`LEAF` rows, where the row recurrence above runs directly
+(:func:`forward_substitute`).  Same arithmetic up to roundoff.
 
 Upper-triangular inversion reuses the lower kernel on the transpose
 (Section 6.3: the implementation always stores ``U`` transposed), so
@@ -19,6 +24,9 @@ Upper-triangular inversion reuses the lower kernel on the transpose
 from __future__ import annotations
 
 import numpy as np
+
+#: Order of the diagonal blocks the recursive solvers hand to the row loop.
+LEAF = 32
 
 
 class TriangularShapeError(ValueError):
@@ -42,31 +50,32 @@ def is_upper_triangular(m: np.ndarray, tol: float = 0.0) -> bool:
     return bool(np.all(np.abs(np.tril(m, k=-1)) <= tol))
 
 
-def _check_invertible_diagonal(diag: np.ndarray) -> None:
-    if np.any(diag == 0.0):
-        idx = int(np.argmax(diag == 0.0))
+def _prepare(t: np.ndarray, b: np.ndarray, what: str, unit_diagonal: bool):
+    """Validate a solve's operands; returns ``(t, y, one_d)`` with ``y`` a
+    private 2-D float64 copy of ``b`` that the solver overwrites."""
+    t = _check_square(t, what)
+    y = np.array(b, dtype=np.float64)
+    one_d = y.ndim == 1
+    if one_d:
+        y = y[:, None]
+    n = t.shape[0]
+    if y.shape[0] != n:
+        raise ValueError(f"rhs has {y.shape[0]} rows, {what} is {n}x{n}")
+    if not unit_diagonal and np.any(np.diag(t) == 0.0):
+        idx = int(np.argmax(np.diag(t) == 0.0))
         raise np.linalg.LinAlgError(f"triangular matrix singular: zero diagonal at {idx}")
+    return t, y, one_d
 
 
-# -- substitution -------------------------------------------------------------
+# -- row-by-row substitution (the leaf kernel) ---------------------------------
 
 
 def forward_substitute(
     l: np.ndarray, b: np.ndarray, *, unit_diagonal: bool = False
 ) -> np.ndarray:
     """Solve ``L y = b`` for lower-triangular ``L`` (b may have many columns)."""
-    l = _check_square(l, "L")
-    b = np.asarray(b, dtype=np.float64)
-    y = b.astype(np.float64, copy=True)
-    one_d = y.ndim == 1
-    if one_d:
-        y = y[:, None]
-    n = l.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"rhs has {y.shape[0]} rows, L is {n}x{n}")
-    if not unit_diagonal:
-        _check_invertible_diagonal(np.diag(l))
-    for i in range(n):
+    l, y, one_d = _prepare(l, b, "L", unit_diagonal)
+    for i in range(l.shape[0]):
         if i:
             y[i] -= l[i, :i] @ y[:i]
         if not unit_diagonal:
@@ -76,17 +85,8 @@ def forward_substitute(
 
 def back_substitute(u: np.ndarray, b: np.ndarray, *, unit_diagonal: bool = False) -> np.ndarray:
     """Solve ``U x = b`` for upper-triangular ``U``."""
-    u = _check_square(u, "U")
-    b = np.asarray(b, dtype=np.float64)
-    x = b.astype(np.float64, copy=True)
-    one_d = x.ndim == 1
-    if one_d:
-        x = x[:, None]
+    u, x, one_d = _prepare(u, b, "U", unit_diagonal)
     n = u.shape[0]
-    if x.shape[0] != n:
-        raise ValueError(f"rhs has {x.shape[0]} rows, U is {n}x{n}")
-    if not unit_diagonal:
-        _check_invertible_diagonal(np.diag(u))
     for i in range(n - 1, -1, -1):
         if i + 1 < n:
             x[i] -= u[i, i + 1 :] @ x[i + 1 :]
@@ -95,7 +95,31 @@ def back_substitute(u: np.ndarray, b: np.ndarray, *, unit_diagonal: bool = False
     return x[:, 0] if one_d else x
 
 
-# -- blocked (BLAS-3) substitution ---------------------------------------------
+# -- recursive (BLAS-3) substitution -------------------------------------------
+
+
+def _solve_lower(l: np.ndarray, y: np.ndarray, unit: bool, leaf: int) -> None:
+    """Overwrite the view ``y`` with ``L^-1 y`` by recursive halving."""
+    n = l.shape[0]
+    if n <= leaf:
+        y[...] = forward_substitute(l, y, unit_diagonal=unit)
+        return
+    h = n // 2
+    _solve_lower(l[:h, :h], y[:h], unit, leaf)
+    y[h:] -= l[h:, :h] @ y[:h]
+    _solve_lower(l[h:, h:], y[h:], unit, leaf)
+
+
+def _solve_upper(u: np.ndarray, x: np.ndarray, unit: bool, leaf: int) -> None:
+    """Overwrite the view ``x`` with ``U^-1 x`` (mirror of the lower case)."""
+    n = u.shape[0]
+    if n <= leaf:
+        x[...] = back_substitute(u, x, unit_diagonal=unit)
+        return
+    h = n // 2
+    _solve_upper(u[h:, h:], x[h:], unit, leaf)
+    x[:h] -= u[:h, h:] @ x[h:]
+    _solve_upper(u[:h, :h], x[:h], unit, leaf)
 
 
 def blocked_forward_substitute(
@@ -103,38 +127,20 @@ def blocked_forward_substitute(
     b: np.ndarray,
     *,
     unit_diagonal: bool = False,
-    block: int = 64,
+    block: int = LEAF,
 ) -> np.ndarray:
     """Recursive blocked solve of ``L Y = B``.
 
-    The row-by-row kernel issues O(n) small BLAS-1/2 calls; this variant
-    recurses on ``L = [[L11, 0], [L21, L22]]`` — solve L11, one big GEMM
-    update, solve L22 — turning most of the work into matrix-matrix products
-    (the cache-friendly formulation the HPC guides recommend).  Identical
-    arithmetic up to roundoff; used by the inversion kernels for large
-    operands.
+    Recurses on ``L = [[L11, 0], [L21, L22]]`` — solve L11, one GEMM update,
+    solve L22 — down to diagonal blocks of at most ``block`` rows, which
+    :func:`forward_substitute` solves row by row.  Only the strict lower
+    triangle (and the diagonal unless ``unit_diagonal``) is read, so packed
+    LU storage can be passed as is.
     """
-    l = _check_square(l, "L")
-    b = np.asarray(b, dtype=np.float64)
-    one_d = b.ndim == 1
-    y = b.astype(np.float64, copy=True)
-    if one_d:
-        y = y[:, None]
-    n = l.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"rhs has {y.shape[0]} rows, L is {n}x{n}")
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo <= block:
-            sub = l[lo:hi, lo:hi]
-            y[lo:hi] = forward_substitute(sub, y[lo:hi], unit_diagonal=unit_diagonal)
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        y[mid:hi] -= l[mid:hi, lo:mid] @ y[lo:mid]
-        solve(mid, hi)
-
-    solve(0, n)
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    l, y, one_d = _prepare(l, b, "L", unit_diagonal)
+    _solve_lower(l, y, unit_diagonal, block)
     return y[:, 0] if one_d else y
 
 
@@ -143,30 +149,13 @@ def blocked_back_substitute(
     b: np.ndarray,
     *,
     unit_diagonal: bool = False,
-    block: int = 64,
+    block: int = LEAF,
 ) -> np.ndarray:
     """Recursive blocked solve of ``U X = B`` (mirror of the forward case)."""
-    u = _check_square(u, "U")
-    b = np.asarray(b, dtype=np.float64)
-    one_d = b.ndim == 1
-    x = b.astype(np.float64, copy=True)
-    if one_d:
-        x = x[:, None]
-    n = u.shape[0]
-    if x.shape[0] != n:
-        raise ValueError(f"rhs has {x.shape[0]} rows, U is {n}x{n}")
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo <= block:
-            sub = u[lo:hi, lo:hi]
-            x[lo:hi] = back_substitute(sub, x[lo:hi], unit_diagonal=unit_diagonal)
-            return
-        mid = (lo + hi) // 2
-        solve(mid, hi)
-        x[lo:mid] -= u[lo:mid, mid:hi] @ x[mid:hi]
-        solve(lo, mid)
-
-    solve(0, n)
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    u, x, one_d = _prepare(u, b, "U", unit_diagonal)
+    _solve_upper(u, x, unit_diagonal, block)
     return x[:, 0] if one_d else x
 
 
@@ -179,25 +168,17 @@ def invert_lower_columns(l: np.ndarray, columns: np.ndarray | list[int]) -> np.n
     Returns an ``n x len(columns)`` array; column *t* of the result is column
     ``columns[t]`` of the inverse.  This is the unit of work of one mapper in
     the final inversion job (Section 5.4 assigns each mapper a strided set of
-    columns for load balance).
+    columns for load balance); it is one blocked solve against the matching
+    identity columns.
     """
     l = _check_square(l, "L")
     cols = np.asarray(columns, dtype=np.int64)
     n = l.shape[0]
     if cols.size and (cols.min() < 0 or cols.max() >= n):
         raise ValueError("column index out of range")
-    diag = np.diag(l)
-    _check_invertible_diagonal(diag)
-    x = np.zeros((n, cols.size))
-    # Row i of each requested column: Equation 4, vectorized across columns.
     sel = np.zeros((n, cols.size))
     sel[cols, np.arange(cols.size)] = 1.0  # identity restricted to the columns
-    for i in range(n):
-        acc = sel[i]
-        if i:
-            acc = acc - l[i, :i] @ x[:i]
-        x[i] = acc / diag[i]
-    return x
+    return blocked_forward_substitute(l, sel)
 
 
 def invert_lower(l: np.ndarray) -> np.ndarray:

@@ -20,10 +20,15 @@ from __future__ import annotations
 import pickle
 import queue
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
+
+
+#: How often a blocked receive checks whether another rank has failed.
+ABORT_POLL_S = 0.05
 
 
 class MPIError(RuntimeError):
@@ -74,6 +79,8 @@ class World:
         self._mailboxes: dict[tuple[int, int, int], queue.SimpleQueue] = {}
         self._mailbox_lock = threading.Lock()
         self._barrier = threading.Barrier(size)
+        #: Set when a rank fails; blocked receives then give up at once.
+        self._aborted = threading.Event()
 
     def _box(self, src: int, dst: int, tag: int) -> queue.SimpleQueue:
         key = (src, dst, tag)
@@ -87,8 +94,9 @@ class World:
     def run(self, fn: Callable[["Comm"], Any]) -> list[Any]:
         """Run ``fn(comm)`` on every rank; returns per-rank results.
 
-        Any rank's exception aborts the whole world (re-raised on the caller
-        with the failing rank noted).
+        Any rank's exception aborts the whole world (blocked peers fail
+        within :data:`ABORT_POLL_S`); the first failing rank's exception is
+        re-raised on the caller with that rank noted.
         """
         results: list[Any] = [None] * self.size
         errors: list[tuple[int, Exception]] = []
@@ -98,6 +106,7 @@ class World:
                 results[rank] = fn(Comm(self, rank))
             except Exception as exc:  # surfaced below
                 errors.append((rank, exc))
+                self._aborted.set()
                 self._barrier.abort()
 
         threads = [
@@ -135,14 +144,17 @@ class Comm:
     def recv(self, source: int, tag: int = 0) -> Any:
         if not 0 <= source < self.size:
             raise MPIError(f"bad source rank {source}")
-        try:
-            return self.world._box(source, self.rank, tag).get(
-                timeout=self.world.timeout
-            )
-        except queue.Empty:
-            raise DeadlockError(
-                f"rank {self.rank} timed out receiving from {source} (tag {tag})"
-            ) from None
+        box = self.world._box(source, self.rank, tag)
+        deadline = time.monotonic() + self.world.timeout
+        while not self.world._aborted.is_set():
+            try:
+                return box.get(timeout=ABORT_POLL_S)
+            except queue.Empty:
+                if time.monotonic() >= deadline:
+                    raise DeadlockError(
+                        f"rank {self.rank} timed out receiving from {source} (tag {tag})"
+                    ) from None
+        raise MPIError(f"rank {self.rank} receiving from {source}: world aborted")
 
     # -- collectives -------------------------------------------------------------
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..linalg.lu import SingularMatrixError
+from ..linalg.triangular import blocked_forward_substitute
 from ..mpi.comm import Comm
 from ..mpi.grid import cyclic_owner, owned_indices
 
@@ -115,12 +116,10 @@ def pdgetrf(comm: Comm, local: np.ndarray, n: int, block: int) -> LocalLU:
         # Update this rank's trailing columns (global col > panel).
         trailing = np.flatnonzero(owned >= col0 + width)
         if trailing.size:
-            l_diag = panel[col0 : col0 + width, :]  # unit lower within panel
-            ldu = np.tril(l_diag, k=-1) + np.eye(width)
-            a_top = local[col0 : col0 + width, trailing]
-            # Solve unit-lower L11 * U12 = A12 (small; forward substitution).
-            u12 = np.linalg.solve(ldu, a_top) if width > 1 else a_top / 1.0
-            local[col0 : col0 + width, trailing] = u12
+            top = slice(col0, col0 + width)
+            # Solve L11 U12 = A12; L11 is the unit-lower part of the panel.
+            u12 = blocked_forward_substitute(panel[top], local[top, trailing], unit_diagonal=True)
+            local[top, trailing] = u12
             if col0 + width < n:
                 l21 = panel[col0 + width :, :]
                 local[col0 + width :, trailing] -= l21 @ u12

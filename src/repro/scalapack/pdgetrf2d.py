@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..linalg.lu import SingularMatrixError
+from ..linalg.triangular import blocked_forward_substitute
 from ..mpi.comm import Comm
 from ..mpi.grid import ProcessGrid, cyclic_owner, owned_indices
 
@@ -188,10 +189,10 @@ def pdgetrf_2d(
         trailing = ctx.cols_at_or_after(k0 + w)
         if ctx.prow == pr_k:
             pivot_rows = np.array([ctx.row_pos[k0 + jj] for jj in range(w)])
-            l11 = np.tril(panel_seg[pivot_rows], k=-1) + np.eye(w)
             if trailing.size:
                 a12 = local[np.ix_(pivot_rows, trailing)]
-                u12 = np.linalg.solve(l11, a12)
+                # L11 is the unit-lower part of the pivot rows' panel.
+                u12 = blocked_forward_substitute(panel_seg[pivot_rows], a12, unit_diagonal=True)
                 local[np.ix_(pivot_rows, trailing)] = u12
             else:
                 u12 = np.zeros((w, 0))

@@ -28,6 +28,21 @@ def assemble_packed(comm: Comm, fact: LocalLU, n: int, block: int) -> np.ndarray
     return packed
 
 
+def _solve_owned(
+    comm: Comm, packed: np.ndarray, perm: np.ndarray, n: int, block: int
+) -> np.ndarray:
+    """This rank's block-cyclic columns of ``A^-1``; each solve reads only
+    its own triangle of the packed factors."""
+    owned = owned_indices(comm.rank, n, block, comm.size)
+    if owned.size == 0:
+        return np.zeros((n, 0))
+    # P e_c has its 1 at row i where perm[i] == c.
+    rhs = np.zeros((n, owned.size))
+    rhs[permutation.invert(perm)[owned], np.arange(owned.size)] = 1.0
+    y = blocked_forward_substitute(packed, rhs, unit_diagonal=True)
+    return blocked_back_substitute(packed, y)
+
+
 def pdgetri_2d(comm: Comm, fact, n: int, block: int) -> np.ndarray:
     """Inversion from a 2D factorization (``LocalLU2D``): allgather the
     packed shares — the same ``m0 n^2`` traffic as the 1D path — then each
@@ -36,16 +51,7 @@ def pdgetri_2d(comm: Comm, fact, n: int, block: int) -> np.ndarray:
     packed = np.zeros((n, n))
     for rows, cols, local in pieces:
         packed[np.ix_(rows, cols)] = local
-    lower = np.tril(packed, k=-1) + np.eye(n)
-    upper = np.triu(packed)
-    owned = owned_indices(comm.rank, n, block, comm.size)
-    if owned.size == 0:
-        return np.zeros((n, 0))
-    rhs = np.zeros((n, owned.size))
-    inv_perm = permutation.invert(fact.perm)
-    rhs[inv_perm[owned], np.arange(owned.size)] = 1.0
-    y = blocked_forward_substitute(lower, rhs, unit_diagonal=True)
-    return blocked_back_substitute(upper, y)
+    return _solve_owned(comm, packed, fact.perm, n, block)
 
 
 def pdgetri(comm: Comm, fact: LocalLU, n: int, block: int) -> np.ndarray:
@@ -56,14 +62,4 @@ def pdgetri(comm: Comm, fact: LocalLU, n: int, block: int) -> np.ndarray:
     factors, batched over all owned columns.
     """
     packed = assemble_packed(comm, fact, n, block)
-    lower = np.tril(packed, k=-1) + np.eye(n)
-    upper = np.triu(packed)
-    owned = owned_indices(comm.rank, n, block, comm.size)
-    if owned.size == 0:
-        return np.zeros((n, 0))
-    # P e_c has its 1 at row i where perm[i] == c.
-    rhs = np.zeros((n, owned.size))
-    inv_perm = permutation.invert(fact.perm)
-    rhs[inv_perm[owned], np.arange(owned.size)] = 1.0
-    y = blocked_forward_substitute(lower, rhs, unit_diagonal=True)
-    return blocked_back_substitute(upper, y)
+    return _solve_owned(comm, packed, fact.perm, n, block)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.linalg import lu_decompose, solve_lu
 from repro.linalg.lu import SingularMatrixError, lu_flop_count, lu_reconstruct
+from repro.linalg.triangular import LEAF
 from repro.linalg import permutation, verify
 
 from conftest import random_invertible
@@ -97,6 +98,77 @@ class TestErrors:
         a = np.diag([1.0, 1e-20])
         with pytest.raises(SingularMatrixError):
             lu_decompose(a, pivot_tol=1e-12)
+
+
+def algorithm1(a, pivot=True):
+    """The paper's listing, one column at a time: the reference the
+    recursive panel factorization must reproduce."""
+    lu = np.array(a, dtype=np.float64)
+    n = lu.shape[0]
+    perm = np.arange(n)
+    for i in range(n):
+        if pivot:
+            j = i + int(np.argmax(np.abs(lu[i:, i])))
+            lu[[i, j]] = lu[[j, i]]
+            perm[[i, j]] = perm[[j, i]]
+        lu[i + 1 :, i] /= lu[i, i]
+        lu[i + 1 :, i + 1 :] -= np.outer(lu[i + 1 :, i], lu[i, i + 1 :])
+    return lu, perm
+
+
+def singular_at(n, step, value=0.0):
+    """Upper triangular, so no row is swapped and step ``step`` meets the
+    pivot ``value`` exactly."""
+    a = np.triu(np.ones((n, n))) + np.eye(n)
+    a[step, step] = value
+    return a
+
+
+ORDERS = [LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, 3 * LEAF + 7]
+
+
+class TestPanelFactorization:
+    """The recursive panel LU across its leaf boundary and error paths."""
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_matches_algorithm1(self, rng, n):
+        a = random_invertible(rng, n)
+        res = lu_decompose(a)
+        ref_lu, ref_perm = algorithm1(a)
+        assert np.array_equal(res.perm, ref_perm)
+        assert np.allclose(res.lu, ref_lu, atol=1e-9)
+        assert verify.lu_residual(a, res.lower(), res.upper(), res.perm) < 1e-10
+
+    @pytest.mark.parametrize("n", [LEAF + 1, 2 * LEAF + 1])
+    def test_no_pivoting(self, rng, n):
+        a = random_invertible(rng, n) + n * np.eye(n)
+        res = lu_decompose(a, pivot=False)
+        assert np.array_equal(res.perm, np.arange(n))
+        assert np.allclose(res.lu, algorithm1(a, pivot=False)[0], atol=1e-9)
+        assert np.allclose(res.lower() @ res.upper(), a, atol=1e-9)
+
+    def test_read_only_and_fortran_input(self, rng):
+        n = 2 * LEAF + 1
+        a = np.asfortranarray(random_invertible(rng, n))
+        a.setflags(write=False)
+        copy = a.copy()
+        res = lu_decompose(a)
+        assert np.array_equal(a, copy)
+        assert verify.lu_residual(a, res.lower(), res.upper(), res.perm) < 1e-10
+
+    @pytest.mark.parametrize("step", [LEAF + 3, 2 * LEAF])
+    def test_zero_pivot_in_later_panel_names_global_step(self, step):
+        with pytest.raises(SingularMatrixError, match=f"zero pivot at step {step} "):
+            lu_decompose(singular_at(2 * LEAF + 1, step))
+
+    def test_pivot_tol_hit_in_later_panel(self):
+        step = LEAF + 5
+        a = singular_at(2 * LEAF + 1, step, value=1e-20)
+        assert lu_decompose(a).lu[step, step] == 1e-20
+        with pytest.raises(SingularMatrixError, match=f"zero pivot at step {step} "):
+            lu_decompose(a, pivot_tol=1e-12)
+        with pytest.raises(SingularMatrixError, match=f"zero pivot at step {step} "):
+            lu_decompose(a, pivot=False, pivot_tol=1e-12)
 
 
 class TestSolve:

@@ -1,11 +1,18 @@
 """Triangular inversion (Equation 4) and substitution solvers."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.linalg import lu_decompose
 from repro.linalg.triangular import (
+    LEAF,
     TriangularShapeError,
     back_substitute,
+    blocked_back_substitute,
+    blocked_forward_substitute,
     forward_substitute,
     invert_lower,
     invert_lower_columns,
@@ -137,6 +144,158 @@ class TestUpperInverse:
         """Section 6.3's identity: U^-1 = (invert_lower(U^T))^T."""
         u = random_lower(rng, 9).T
         assert np.allclose(invert_upper(u), invert_lower(u.T).T)
+
+
+ORDERS = [LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, 3 * LEAF + 7]
+
+
+def conditioned_lower(rng, n, unit=False):
+    """``random_lower`` with the off-diagonal part scaled by 1/n: a random
+    triangular matrix's condition number grows exponentially with n."""
+    l = random_lower(rng, n, unit)
+    diag = np.diag(l).copy()
+    l /= n
+    np.fill_diagonal(l, diag)
+    return l
+
+
+def read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+class TestBlockedSolves:
+    """The recursive solvers agree with the row-by-row leaf kernel across
+    the leaf boundary and on the operand layouts the pipeline passes."""
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_forward_matches_row_kernel(self, rng, n):
+        l = conditioned_lower(rng, n)
+        b = rng.standard_normal((n, 5))
+        y = blocked_forward_substitute(l, b)
+        assert np.allclose(y, forward_substitute(l, b), atol=1e-10)
+        assert np.allclose(l @ y, b, atol=1e-9)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_back_matches_row_kernel(self, rng, n):
+        u = conditioned_lower(rng, n).T
+        b = rng.standard_normal((n, 3))
+        x = blocked_back_substitute(u, b)
+        assert np.allclose(x, back_substitute(u, b), atol=1e-10)
+        assert np.allclose(u @ x, b, atol=1e-9)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_inverse_columns_at_leaf_boundaries(self, rng, n):
+        l = conditioned_lower(rng, n)
+        cols = np.arange(n)[::3]
+        assert np.allclose(l @ invert_lower_columns(l, cols), np.eye(n)[:, cols], atol=1e-9)
+
+    def test_vector_rhs(self, rng):
+        n = 2 * LEAF + 1
+        l = conditioned_lower(rng, n)
+        x = rng.standard_normal(n)
+        y = blocked_forward_substitute(l, l @ x)
+        assert y.shape == (n,)
+        assert np.allclose(y, x)
+
+    def test_fortran_ordered_operands(self, rng):
+        """``lu_jobs`` solves ``X U1 = A3`` as ``U1^T X^T = A3^T``: both
+        operands arrive as transposed (F-ordered) views."""
+        n = 2 * LEAF + 3
+        u1 = conditioned_lower(rng, n).T.copy()
+        a3 = rng.standard_normal((7, n))
+        x = blocked_forward_substitute(u1.T, a3.T).T
+        assert np.allclose(x @ u1, a3, atol=1e-9)
+        assert np.allclose(
+            blocked_forward_substitute(u1.T, np.asfortranarray(a3.T)),
+            blocked_forward_substitute(u1.T, np.ascontiguousarray(a3.T)),
+        )
+
+    @pytest.mark.parametrize("n", [LEAF - 1, 2 * LEAF + 1])
+    def test_packed_lu_storage_unit_diagonal(self, rng, n):
+        """With ``unit_diagonal`` the forward solve reads only the strict
+        lower triangle, so packed LU (U on and above the diagonal) works."""
+        lower = conditioned_lower(rng, n, unit=True)
+        packed = lower + np.triu(rng.standard_normal((n, n)))
+        b = rng.standard_normal((n, 4))
+        assert np.allclose(
+            blocked_forward_substitute(packed, b, unit_diagonal=True),
+            blocked_forward_substitute(lower, b),
+            atol=1e-10,
+        )
+        upper = lower.T
+        packed_t = upper + np.tril(rng.standard_normal((n, n)))
+        assert np.allclose(
+            blocked_back_substitute(packed_t, b, unit_diagonal=True),
+            blocked_back_substitute(upper, b),
+            atol=1e-10,
+        )
+
+    def test_read_only_inputs_never_written(self, rng):
+        """The decoded-block cache hands out shared read-only arrays."""
+        n = 2 * LEAF + 1
+        l, b = read_only(conditioned_lower(rng, n), rng.standard_normal((n, 3)))
+        before = l.copy(), b.copy()
+        blocked_forward_substitute(l, b)
+        blocked_back_substitute(l.T, b)
+        invert_lower_columns(l, [0, 5, n - 1])
+        invert_upper_rows(l.T, [1, n - 2])
+        assert np.array_equal(l, before[0]) and np.array_equal(b, before[1])
+
+    @pytest.mark.parametrize("block", [1, 5, 1000])
+    def test_block_is_the_leaf_size(self, rng, block):
+        n = 2 * LEAF + 1
+        l = conditioned_lower(rng, n)
+        b = rng.standard_normal((n, 2))
+        assert np.allclose(
+            blocked_forward_substitute(l, b, block=block), forward_substitute(l, b)
+        )
+        assert np.allclose(
+            blocked_back_substitute(l.T, b, block=block), back_substitute(l.T, b)
+        )
+
+    def test_block_must_be_positive(self, rng):
+        with pytest.raises(ValueError, match="block"):
+            blocked_forward_substitute(conditioned_lower(rng, 4), np.ones(4), block=0)
+
+    def test_zero_diagonal_reported_at_global_index(self, rng):
+        n = 2 * LEAF + 1
+        l = conditioned_lower(rng, n)
+        l[LEAF + 3, LEAF + 3] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match=f"zero diagonal at {LEAF + 3}"):
+            blocked_forward_substitute(l, np.ones(n))
+        with pytest.raises(np.linalg.LinAlgError, match=f"zero diagonal at {LEAF + 3}"):
+            invert_lower_columns(l, [0])
+
+
+class TestNoReferenceCycles:
+    """Kernel results are freed by reference counting alone: a result kept
+    alive until the cyclic collector runs holds the operands' memory too."""
+
+    @pytest.fixture(autouse=True)
+    def _gc_disabled(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda l, b: blocked_forward_substitute(l, b),
+            lambda l, b: blocked_back_substitute(l.T, b),
+            lambda l, b: invert_lower_columns(l, [0, 2, 3]),
+            lambda l, b: lu_decompose(l + l.T).lu,
+        ],
+        ids=["blocked_forward", "blocked_back", "invert_lower_columns", "lu_decompose"],
+    )
+    def test_result_freed_when_dropped(self, rng, kernel):
+        n = 2 * LEAF + 1
+        result = kernel(conditioned_lower(rng, n), rng.standard_normal((n, 4)))
+        ref = weakref.ref(result)
+        del result
+        assert ref() is None
 
 
 class TestPredicates:

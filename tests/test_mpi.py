@@ -1,5 +1,7 @@
 """MPI substrate: point-to-point, collectives, traffic accounting, grids."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,22 @@ class TestPointToPoint:
 
         with pytest.raises(MPIError, match="rank 1"):
             world.run(fn)
+
+    def test_failed_rank_unblocks_receivers(self):
+        """A peer blocked in recv gives up as soon as another rank fails, and
+        the caller sees the failing rank's own exception, not the peer's."""
+        world = World(3, timeout=60.0)
+
+        def fn(comm):
+            if comm.rank == 0:
+                raise ValueError("rank boom")
+            comm.recv(source=0)
+
+        start = time.monotonic()
+        with pytest.raises(MPIError, match="rank 0") as info:
+            world.run(fn)
+        assert time.monotonic() - start < 5.0
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 class TestCollectives:

@@ -1,6 +1,7 @@
 """Public-surface checks: exports are importable, examples run, docs exist."""
 
 import importlib
+import os
 import pathlib
 import subprocess
 import sys
@@ -85,6 +86,32 @@ class TestExamplesRun:
         )
         assert proc.returncode == 0, proc.stderr[-800:]
         assert expect in proc.stdout
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+from repro import InversionConfig, MatrixInverter
+
+with MatrixInverter(InversionConfig(nb=16)) as inverter:
+    a = np.random.default_rng(0).standard_normal((64, 64))
+    assert inverter.invert(a).inverse.shape == (64, 64)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_inversion_path_does_not_load_scipy():
+    """scipy bundles a second OpenBLAS whose thread pool competes with
+    numpy's, so the inversion path must run on numpy alone."""
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=240,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr[-800:]
+    assert proc.stdout.strip() == "[]"
 
 
 class TestRunAllFast:

@@ -1,9 +1,11 @@
 """ScaLAPACK baseline: distributed LU, inversion, traffic behaviour."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.linalg import verify
+from repro.linalg import SingularMatrixError, verify
 from repro.mpi import MPIError
 from repro.scalapack import ScaLAPACKInverter, scalapack_invert
 
@@ -38,6 +40,16 @@ class TestPDGETRF:
         a = np.ones((12, 12))
         with pytest.raises(MPIError):
             ScaLAPACKInverter(nprocs=2, block=4).lu(a)
+
+    def test_singular_fails_fast_with_original_error(self):
+        """The rank that finds the zero pivot aborts the world; its peer,
+        blocked waiting for the pivot row, fails within the abort poll
+        instead of the full receive timeout."""
+        start = time.monotonic()
+        with pytest.raises(MPIError) as info:
+            ScaLAPACKInverter(nprocs=2, block=4, timeout=60).lu(np.ones((12, 12)))
+        assert time.monotonic() - start < 5.0
+        assert isinstance(info.value.__cause__, SingularMatrixError)
 
 
 class TestPDGETRI:
