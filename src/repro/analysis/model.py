@@ -3,17 +3,18 @@
 Section 5's structural claim — "the number of jobs in the pipeline and the
 data movement between the jobs can be precisely determined before the start
 of the computation" — means the *entire* read/write set of every step is a
-pure function of ``(n, config)``.  :func:`build_model` computes it: the same
-step sequence the driver executes (master input write, partition job,
-in-order LU walk with master-side leaf decompositions, final inversion job,
-master output collection), with each MapReduce job split into its map and
-reduce phases so that intra-job dataflow (mappers write ``L2``/``U2``,
-reducers read them) is modeled too.
+pure function of ``(n, config)``.  :func:`build_model` computes it: the step
+list the driver runs (master input write, partition job, in-order LU walk
+with master-side leaf decompositions, final inversion job, master output
+collection), with each MapReduce job split into its map and reduce phases
+so that intra-job dataflow (mappers write ``L2``/``U2``, reducers read them)
+is modeled too.  :class:`~repro.inversion.driver.MatrixInverter` groups these
+steps into its execution units, so plan order is written down only here.
 
-Nothing here touches a runtime or a DFS; the model exists so
-:mod:`repro.analysis.planlint` can validate the dataflow ahead of execution,
-and so tests can corrupt a model (drop a write, break the grid) and assert
-the linter catches it.
+Nothing here touches a runtime or a DFS; besides driving the run, the model
+lets :mod:`repro.analysis.planlint` validate the dataflow ahead of
+execution, and lets tests corrupt a model (drop a write, break the grid)
+and assert the linter catches it.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def _invert_writes(layout: Layout) -> tuple[set[str], set[str]]:
 def _decompose_steps(
     layout: Layout, node: PlanNode, steps: list[StepModel]
 ) -> None:
-    """Algorithm 2's in-order walk, mirrored as model steps."""
+    """Algorithm 2's in-order walk, as model steps — the only copy of it."""
     cfg = layout.config
     nl = layout.of(node)
     if node.is_leaf:
@@ -264,8 +265,8 @@ def build_model(
 ) -> PipelineModel:
     """Compute the full pipeline model for an order-``n`` inversion.
 
-    Pure precomputation — mirrors :meth:`MatrixInverter.invert` step for
-    step but touches no runtime, no DFS, and no matrix data.
+    Pure precomputation — the step list :class:`MatrixInverter` runs, for
+    every entry point — touching no runtime, no DFS, and no matrix data.
     """
     cfg = config or InversionConfig()
     if n < 1 or cfg.nb < 1:
@@ -347,8 +348,9 @@ def build_model(
 
     # Commit manifests: one per master phase and one per job, written by
     # the commit protocol when the two-phase output commit is on.  The
-    # phase names in ``steps`` mirror the driver's ``master_phase`` calls
-    # exactly, so deriving manifests from the steps keeps the two in sync.
+    # driver names its phases and jobs after these steps, so the manifests
+    # derived here are the ones it writes (``invert_path`` names its
+    # ingestion phase ``link-input`` instead of ``write-input``).
     manifest_writes: set[str] = set()
     if cfg.output_commit:
         manifest_steps = [

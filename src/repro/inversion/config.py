@@ -75,8 +75,10 @@ class InversionConfig:
         Two-phase crash-consistent output commit (on by default): task
         attempts and master phases stage their writes under ``/_tmp`` and
         publish atomically at commit, with per-step manifests under
-        ``<root>/_commit/`` driving resume instead of existence probes.
-        Off reverts to the direct-write, probe-based behaviour.
+        ``<root>/_commit/``.  On resume a step is done when its manifest
+        is committed.  Off reverts to direct writes, and a step counts as
+        done when every file it writes exists.  Either way
+        ``invert-final`` re-runs.
     executor:
         Execution backend for task attempts: ``"serial"`` (default),
         ``"threads"``, or ``"processes"`` — any name registered with

@@ -5,12 +5,17 @@ Implements the workflow of Section 5 / Figure 2:
 1. the master writes the input matrix and the ``MapInput/A.<j>`` control
    files to the DFS;
 2. one map-only job partitions the input (Algorithm 3);
-3. the recursion of Algorithm 2 runs as an in-order walk of the precomputed
-   plan tree — leaves are LU-decomposed *on the master* (Algorithm 1),
-   internal nodes run one MapReduce job each for ``L2'``/``U2``/Schur;
+3. the recursion of Algorithm 2 runs in the in-order step sequence the
+   precomputed model lists (:func:`repro.analysis.model.build_model`) —
+   leaves are LU-decomposed *on the master* (Algorithm 1), internal nodes
+   run one MapReduce job each for ``L2'``/``U2``/Schur;
 4. a final job inverts the triangular factors and multiplies them;
 5. the master assembles ``A^-1`` from the reducers' block files, applying the
    pivot column permutation.
+
+Steps 2–4 run as units grouped from that model, through one runner: in plan
+order on the driving thread (the paper's barrier sequence) or under the
+dataflow scheduler (:mod:`repro.mapreduce.scheduler`).
 
 Everything the run did — job results, master phases, I/O, flops — is captured
 in an :class:`InversionResult` so experiments can replay it on the simulated
@@ -20,6 +25,7 @@ cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -30,7 +36,14 @@ from ..dfs.fsck import FsckReport, fsck
 from ..dfs.iostats import IOSnapshot
 from ..linalg import verify
 from ..linalg.lu import lu_decompose, lu_flop_count
-from ..mapreduce import MapReduceRuntime, Pipeline, PipelineRecord, RuntimeConfig
+from ..mapreduce import (
+    DataflowScheduler,
+    MapReduceRuntime,
+    Pipeline,
+    PipelineRecord,
+    RuntimeConfig,
+    UnitSpec,
+)
 from ..mapreduce.faults import FaultPolicy
 from ..telemetry.api import resolve_tracer
 from ..telemetry.spans import SpanKind
@@ -42,10 +55,13 @@ from .factors import (
     read_upper,
     write_leaf_factors,
 )
-from .invert_job import invert_job, read_final_inverse, reducer_indices
+from .invert_job import invert_job, read_final_inverse
 from .layout import Layout
 from .lu_jobs import lu_job, partition_job
 from .plan import InversionPlan, PlanNode
+
+if TYPE_CHECKING:
+    from ..analysis.model import PipelineModel
 
 
 class MasterIO:
@@ -61,7 +77,7 @@ class MasterIO:
         self.bytes_written = 0
         self._scope: CommitScope | None = None
 
-    # -- two-phase commit scoping (driven by Pipeline.master_phase) ----------
+    # -- two-phase commit scoping (driven by Pipeline.execute_phase) ---------
 
     def begin_phase(self, scope: CommitScope) -> None:
         """Route subsequent writes into the phase's staging scope."""
@@ -203,20 +219,21 @@ class MatrixInverter:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _plan_and_layout(self, n: int) -> tuple[InversionPlan, Layout]:
-        """Precompute the pipeline for order ``n`` — statically validated by
-        the :mod:`repro.analysis` pre-flight unless ``config.preflight`` is
-        off (raises :class:`~repro.analysis.PreflightError` on defects)."""
-        cfg = self.config
-        if cfg.preflight:
+    def _model(self, n: int) -> PipelineModel:
+        """The precomputed pipeline for order ``n``: the step list every entry
+        point runs.  Statically validated by the :mod:`repro.analysis`
+        pre-flight unless ``config.preflight`` is off (raises
+        :class:`~repro.analysis.PreflightError` on defects)."""
+        if self.config.preflight:
             from ..analysis import preflight_check
 
-            model = preflight_check(n, cfg)
-            model.plan.validate()
-            return model.plan, model.layout
-        plan = InversionPlan(n=n, nb=cfg.nb, m0=cfg.m0, root=cfg.root)
-        plan.validate()
-        return plan, Layout(plan, cfg, n)
+            model = preflight_check(n, self.config)
+        else:
+            from ..analysis.model import build_model
+
+            model = build_model(n, self.config)
+        model.plan.validate()
+        return model
 
     def _job_validators(self):
         """Pre-run checks applied to every job the pipeline launches."""
@@ -262,54 +279,54 @@ class MatrixInverter:
             dfs.detach_cache()
 
     def _prepare(
-        self, a: np.ndarray, *, resume: bool = False
-    ) -> tuple[Layout, Pipeline, MasterIO]:
-        a = np.asarray(a, dtype=np.float64)
+        self,
+        n: int,
+        ingest_name: str,
+        ingest: Callable[[], bytes],
+        *,
+        resume: bool = False,
+    ) -> tuple[PipelineModel, Pipeline, MasterIO]:
+        """Model the run, then keep a resumable DFS state or start afresh.
+
+        A fresh start clears the work directory and any staging debris, then
+        runs the ingestion phase ``ingest_name`` (Section 5.1): the master
+        writes the input file (``ingest()``'s bytes) and the
+        ``MapInput/A.<j>`` control files.
+        """
         self._configure_cache()
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {a.shape}")
-        n = a.shape[0]
         cfg = self.config
-        plan, layout = self._plan_and_layout(n)
+        model = self._model(n)
+        layout = model.layout
         dfs = self.runtime.dfs
         if resume and cfg.output_commit:
             # Roll back any debris the crashed run left — orphaned staging,
             # unsealed files, broken manifests — before trusting DFS state.
             self._resume_fsck(dfs)
-        if resume and dfs.exists(layout.input_path):
-            # Resuming a previous run of the same matrix: keep the DFS state
-            # and skip the ingestion phase entirely.
-            if cfg.input_format == "binary":
-                stored = formats.matrix_shape(dfs, layout.input_path)
-                if stored != (n, n):
-                    raise ValueError(
-                        f"cannot resume: stored input is {stored}, new input "
-                        f"is {(n, n)}"
-                    )
-            return layout, self._pipeline(), MasterIO(dfs)
-        if dfs.exists(cfg.root):
-            dfs.delete(cfg.root, recursive=True)
-        # A from-scratch run must not inherit staging debris (or stale
-        # manifests — those lived under root and are gone with it).
-        dfs.discard_staging(STAGING_ROOT)
-
+        resuming = resume and dfs.exists(layout.input_path)
+        if resuming and cfg.input_format == "binary":
+            stored = formats.matrix_shape(dfs, layout.input_path)
+            if stored != (n, n):
+                raise ValueError(
+                    f"cannot resume: stored input is {stored}, new input "
+                    f"is {(n, n)}"
+                )
+        if not resuming:
+            if dfs.exists(cfg.root):
+                dfs.delete(cfg.root, recursive=True)
+            # A from-scratch run must not inherit staging debris (or stale
+            # manifests — those lived under root and are gone with it).
+            dfs.discard_staging(STAGING_ROOT)
         master = MasterIO(dfs)
         pipeline = self._pipeline()
+        if not resuming:
 
-        # Step 1 (Section 5.1): master writes the input and control files.
-        def write_inputs() -> None:
-            if cfg.input_format == "binary":
-                master.write_bytes(layout.input_path, formats.encode_matrix(a))
-            else:
-                master.write_bytes(
-                    layout.input_path,
-                    formats.encode_matrix_text(a).encode("utf-8"),
-                )
-            for j in range(cfg.m0):
-                master.write_bytes(layout.map_input_path(j), str(j).encode())
+            def write_inputs() -> None:
+                master.write_bytes(layout.input_path, ingest())
+                for j in range(cfg.m0):
+                    master.write_bytes(layout.map_input_path(j), str(j).encode())
 
-        pipeline.master_phase("write-input", write_inputs, io=master)
-        return layout, pipeline, master
+            pipeline.master_phase(ingest_name, write_inputs, io=master)
+        return model, pipeline, master
 
     def _resume_fsck(self, dfs: DFS) -> FsckReport:
         """Repairing consistency check run before any resume decision."""
@@ -325,105 +342,230 @@ class MatrixInverter:
             )
             return report
 
-    def _node_complete(self, layout: Layout, node: PlanNode) -> bool:
-        """True when a node's factors are already committed on the DFS.
-
-        Because every intermediate lives in HDFS, the pipeline is naturally
-        resumable after a *driver* failure: completed subtrees are detected
-        and skipped (task-level failures are handled separately by the
-        JobTracker's retries).  With the output-commit protocol on, the
-        check reads the per-step manifests — a step counts as done only if
-        its commit point was reached, so a crash between two files of a
-        multi-file write can never masquerade as completion.  With the
-        protocol off it falls back to the legacy existence probes.
-        """
-        log = self._commit_log()
-        if log is not None:
-            return self._node_committed(log, node)
+    def _phase_body(
+        self, layout: Layout, name: str, node: PlanNode
+    ) -> tuple[Callable[[MasterIO], None], float]:
+        """A master phase's work (``fn(master)``) and its declared flops."""
+        cfg = self.config
+        if name.startswith("combine:"):
+            # Section 6.1 ablation: serial combine on the master.
+            return (lambda master: combine_factors(layout, node, master, master)), 0.0
         nl = layout.of(node)
-        dfs = self.runtime.dfs
-        if dfs.exists(nl.l_path):  # leaf factors or combined files
-            return dfs.exists(nl.u_path) and dfs.exists(nl.p_path)
-        if node.is_leaf:
-            return False
-        return (
-            self._node_complete(layout, node.child1)
-            and all(dfs.exists(p) for p in nl.l2.file_paths())
-            and all(dfs.exists(p) for p in nl.u2.file_paths())
-            and all(dfs.exists(p) for p in nl.out.file_paths())
-            and self._node_complete(layout, node.child2)
-        )
 
-    def _node_committed(self, log: CommitLog, node: PlanNode) -> bool:
-        """Manifest-based completion: every step of the subtree committed."""
-        if node.is_leaf:
-            return log.committed(f"phase:master-lu:{node.dir}")
-        done = (
-            self._node_committed(log, node.child1)
-            and log.committed(f"job:lu:{node.dir}")
-            and self._node_committed(log, node.child2)
-        )
-        if not self.config.separate_files:
-            done = done and log.committed(f"phase:combine:{node.dir}")
-        return done
-
-    def _decompose(
-        self, layout: Layout, pipeline: Pipeline, master: MasterIO, node: PlanNode,
-        *, resume: bool = False,
-    ) -> None:
-        """Algorithm 2 as an in-order tree walk."""
-        if resume and self._node_complete(layout, node):
-            return
-        if node.is_leaf:
-            nl = layout.of(node)
-            is_whole_input = node is layout.plan.tree
-
-            def leaf_lu() -> None:
-                if is_whole_input:
-                    # Single-leaf plan (n <= nb): no partition job ran, so the
-                    # master reads the input file directly.
-                    if self.config.input_format == "binary":
-                        block = master.read_matrix(layout.input_path)
-                    else:
-                        block = formats.decode_matrix_text(
-                            master.read_bytes(layout.input_path).decode("utf-8")
-                        )
+        def leaf_lu(master: MasterIO) -> None:
+            if node is layout.plan.tree:
+                # Single-leaf plan (n <= nb): no partition job ran, so the
+                # master reads the input file directly.
+                if cfg.input_format == "binary":
+                    block = master.read_matrix(layout.input_path)
                 else:
-                    block = nl.matrix.read(master)
-                lu = lu_decompose(block, pivot=self.config.pivot)
-                write_leaf_factors(
-                    master, nl, lu, transpose_u=self.config.transpose_u
+                    block = formats.decode_matrix_text(
+                        master.read_bytes(layout.input_path).decode("utf-8")
+                    )
+            else:
+                block = nl.matrix.read(master)
+            lu = lu_decompose(block, pivot=cfg.pivot)
+            write_leaf_factors(master, nl, lu, transpose_u=cfg.transpose_u)
+
+        return leaf_lu, lu_flop_count(node.n)
+
+    def _units(
+        self,
+        model: PipelineModel,
+        pipeline: Pipeline,
+        run_span,
+        *,
+        resume: bool,
+        dataflow: bool,
+        lu_only: bool,
+    ) -> list[UnitSpec]:
+        """The model's steps between ingestion and collection, as units in
+        plan order.
+
+        One unit per master phase and one per MapReduce job (its map and
+        reduce steps together: intra-job dataflow is the JobTracker's
+        business).  ``needs`` is the unit's reads minus its own writes.  On
+        resume a unit is done when its ``job:``/``phase:`` manifest is
+        committed or, with the commit protocol off, when every file it
+        writes exists; ``invert-final`` always re-runs (its reducers'
+        outputs feed ``collect-output``).
+        """
+        layout = model.layout
+        dfs = self.runtime.dfs
+        log = self._commit_log()
+        tree = layout.plan.tree
+        nodes = {node.dir: node for node in tree.leaves() + tree.internal_nodes()}
+        skip = {"write-input", "collect-output"} | ({"invert-final"} if lu_only else set())
+        groups: dict[str, list] = {}
+        for step in model.steps:
+            name = step.job or step.name
+            if name not in skip:
+                groups.setdefault(name, []).append(step)
+
+        def attrs(wait: float) -> dict | None:
+            if not dataflow:
+                return None
+            return {"schedule": "dataflow", "sched_wait_seconds": round(wait, 6)}
+
+        def job_unit(conf) -> tuple:
+            def run(wait: float):
+                return pipeline.execute_job(
+                    conf, parent_span=run_span, span_attrs=attrs(wait)
                 )
 
-            pipeline.master_phase(
-                f"master-lu:{node.dir}",
-                leaf_lu,
-                flops=lu_flop_count(node.n),
-                io=master,
+            def commit(result) -> None:
+                pipeline.commit_job(
+                    conf.name, result, output_commit=conf.output_commit
+                )
+
+            return run, commit
+
+        def phase_unit(name: str, body, flops: float) -> tuple:
+            def run(wait: float):
+                # Per-unit MasterIO: phase scoping and byte counters are
+                # mutable per-phase state, unshareable across unit threads.
+                master = MasterIO(dfs)
+                _, phase, published = pipeline.execute_phase(
+                    name,
+                    lambda: body(master),
+                    flops=flops,
+                    io=master,
+                    parent_span=run_span,
+                    span_attrs=attrs(wait),
+                )
+                return phase, published
+
+            def commit(payload) -> None:
+                pipeline.commit_phase(name, *payload)
+
+            return run, commit
+
+        units: list[UnitSpec] = []
+        for name, steps in groups.items():
+            kind = "phase" if steps[0].job is None else "job"
+            reads = set().union(*(s.reads for s in steps))
+            writes = set().union(*(s.writes for s in steps))
+            if not resume or name == "invert-final":
+                done = False
+            elif log is not None:
+                done = log.committed(f"{kind}:{name}")
+            else:
+                done = all(dfs.exists(p) for p in writes)
+            if kind == "phase":
+                node = nodes[name.split(":", 1)[1]]
+                run, commit = phase_unit(name, *self._phase_body(layout, name, node))
+            elif name == "partition":
+                run, commit = job_unit(partition_job(layout))
+            elif name == "invert-final":
+                run, commit = job_unit(invert_job(layout))
+            else:
+                run, commit = job_unit(lu_job(layout, nodes[name[len("lu:"):]]))
+            units.append(
+                UnitSpec(
+                    name=name,
+                    kind=kind,
+                    needs=frozenset(reads - writes),
+                    run=run,
+                    commit=commit,
+                    done=done,
+                )
             )
-            return
+        return units
 
-        self._decompose(layout, pipeline, master, node.child1, resume=resume)
-        nl = layout.of(node)
-        log = self._commit_log()
-        if log is not None:
-            job_done = resume and log.committed(f"job:lu:{node.dir}")
-        else:
-            job_done = resume and all(
-                self.runtime.dfs.exists(p)
-                for region in (nl.l2, nl.u2, nl.out)
-                for p in region.file_paths()
+    def _schedule_mode(self) -> str:
+        """Resolved scheduling mode: config wins, runtime config is the
+        fallback (``"barrier"`` unless someone opted in)."""
+        return self.config.schedule or self.runtime.config.schedule
+
+    def _run(
+        self,
+        span_name: str,
+        n: int,
+        ingest_name: str,
+        ingest: Callable[[], bytes],
+        finish: Callable[[Layout, Pipeline, MasterIO], Any],
+        *,
+        resume: bool = False,
+        lu_only: bool = False,
+        **span_attrs,
+    ) -> tuple[Layout, PipelineRecord, Any, IOSnapshot, object | None]:
+        """The one execution path of every entry point.
+
+        Ingests the input, runs the model's units — in plan order on this
+        thread (barrier mode), or under the
+        :class:`~repro.mapreduce.scheduler.DataflowScheduler` — then calls
+        ``finish(layout, pipeline, master)`` on the master.  Returns the
+        layout, the pipeline record, ``finish``'s result, the run's DFS I/O,
+        and the scheduler report (``None`` in barrier mode).
+        """
+        cfg = self.config
+        dataflow = self._schedule_mode() == "dataflow"
+        if dataflow and not cfg.output_commit:
+            raise ValueError(
+                "dataflow scheduling requires output_commit: step readiness "
+                "is keyed on sealed (published) blocks"
             )
-        if not job_done:
-            pipeline.run_job(lu_job(layout, node))
-        self._decompose(layout, pipeline, master, node.child2, resume=resume)
+        dfs = self.runtime.dfs
+        before = dfs.stats.snapshot()
+        tracer = resolve_tracer(cfg.telemetry)
+        report = None
+        with tracer.span(span_name, SpanKind.RUN) as run_span:
+            if tracer.enabled:
+                if dataflow:
+                    span_attrs["schedule"] = "dataflow"
+                run_span.set(n=n, nb=cfg.nb, m0=cfg.m0, resume=resume, **span_attrs)
+            model, pipeline, master = self._prepare(
+                n, ingest_name, ingest, resume=resume
+            )
+            units = self._units(
+                model,
+                pipeline,
+                run_span if tracer.enabled else None,
+                resume=resume,
+                dataflow=dataflow,
+                lu_only=lu_only,
+            )
+            if dataflow:
+                report = DataflowScheduler(
+                    dfs=dfs, units=units, model=model, telemetry=cfg.telemetry
+                ).run()
+            else:
+                for unit in units:
+                    if not unit.done:
+                        unit.commit(unit.run(0.0))
+            out = finish(model.layout, pipeline, master)
+        io = dfs.stats.snapshot() - before
+        if tracer.enabled:
+            tracer.metrics.absorb_iostats(io)
+        return model.layout, pipeline.record, out, io, report
 
-        if not self.config.separate_files:
-            # Section 6.1 ablation: serial combine on the master.
-            def do_combine() -> None:
-                combine_factors(layout, node, master, master)
+    def _invert(
+        self, span_name: str, n: int, ingest_name: str, ingest, **kwargs
+    ) -> InversionResult:
+        layout, record, inverse, io, report = self._run(
+            span_name, n, ingest_name, ingest, self._assemble_inverse, **kwargs
+        )
+        return InversionResult(
+            inverse=inverse,
+            plan=layout.plan,
+            layout=layout,
+            record=record,
+            config=self.config,
+            io=io,
+            scheduler_report=report,
+        )
 
-            pipeline.master_phase(f"combine:{node.dir}", do_combine, io=master)
+    def _encoder(self, a: np.ndarray) -> Callable[[], bytes]:
+        """``a`` validated as a square matrix, as an ingest callable."""
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {a.shape}")
+
+        def encode() -> bytes:
+            if self.config.input_format == "binary":
+                return formats.encode_matrix(a)
+            return formats.encode_matrix_text(a).encode("utf-8")
+
+        return encode
 
     def _assemble_inverse(
         self, layout: Layout, pipeline: Pipeline, master: MasterIO
@@ -439,252 +581,15 @@ class MatrixInverter:
         pipeline.master_phase("collect-output", collect, io=master)
         return out
 
-    # -- dataflow scheduling ---------------------------------------------------
-
-    def _schedule_mode(self) -> str:
-        """Resolved scheduling mode: config wins, runtime config is the
-        fallback (``"barrier"`` unless someone opted in)."""
-        return self.config.schedule or self.runtime.config.schedule
-
-    def _dataflow_units(self, layout, pipeline, model, run_span, *, resume):
-        """The pipeline's schedulable units, in plan order.
-
-        Mirrors :meth:`invert`'s barrier step sequence exactly — one unit
-        per master phase, one per MapReduce job (map+reduce grouped:
-        intra-job dataflow is the JobTracker's business) — with each unit's
-        ``needs`` taken from the static model: its reads minus its own
-        writes.  ``write-input`` (already run by ``_prepare``) and
-        ``collect-output`` (runs after the schedule drains) are excluded.
-        """
-        from ..mapreduce.scheduler import UnitSpec
-
-        cfg = self.config
-        dfs = self.runtime.dfs
-        log = self._commit_log()
-        nodes_by_dir: dict[str, PlanNode] = {}
-
-        def index(node: PlanNode) -> None:
-            nodes_by_dir[node.dir] = node
-            if not node.is_leaf:
-                index(node.child1)
-                index(node.child2)
-
-        index(layout.plan.tree)
-
-        # Group the model's steps into units: master steps stand alone, a
-        # job's map+reduce phases merge.
-        steps = [
-            s
-            for s in model.steps
-            if s.name not in ("write-input", "collect-output")
-        ]
-        grouped: list[tuple[str, str, list]] = []
-        i = 0
-        while i < len(steps):
-            step = steps[i]
-            if step.job is None:
-                grouped.append(("phase", step.name, [step]))
-                i += 1
-                continue
-            j = i
-            while j < len(steps) and steps[j].job == step.job:
-                j += 1
-            grouped.append(("job", step.job, steps[i:j]))
-            i = j
-
-        def job_conf_factory(job_name: str):
-            if job_name == "partition":
-                return lambda: partition_job(layout)
-            if job_name == "invert-final":
-                return lambda: invert_job(layout)
-            if job_name.startswith("lu:"):
-                node = nodes_by_dir[job_name[len("lu:"):]]
-                return lambda: lu_job(layout, node)
-            raise KeyError(f"unknown job unit {job_name!r}")
-
-        def phase_body(phase_name: str):
-            """The master-phase work, as fn(MasterIO) -> None, plus flops."""
-            if phase_name.startswith("master-lu:"):
-                node = nodes_by_dir[phase_name[len("master-lu:"):]]
-                nl = layout.of(node)
-                is_whole_input = node is layout.plan.tree
-
-                def leaf_lu(master: MasterIO) -> None:
-                    if is_whole_input:
-                        if cfg.input_format == "binary":
-                            block = master.read_matrix(layout.input_path)
-                        else:
-                            block = formats.decode_matrix_text(
-                                master.read_bytes(layout.input_path).decode(
-                                    "utf-8"
-                                )
-                            )
-                    else:
-                        block = nl.matrix.read(master)
-                    lu = lu_decompose(block, pivot=cfg.pivot)
-                    write_leaf_factors(
-                        master, nl, lu, transpose_u=cfg.transpose_u
-                    )
-
-                return leaf_lu, lu_flop_count(node.n)
-            if phase_name.startswith("combine:"):
-                node = nodes_by_dir[phase_name[len("combine:"):]]
-
-                def do_combine(master: MasterIO) -> None:
-                    combine_factors(layout, node, master, master)
-
-                return do_combine, 0.0
-            raise KeyError(f"unknown phase unit {phase_name!r}")
-
-        units: list[UnitSpec] = []
-        for kind, name, members in grouped:
-            needs = frozenset(
-                set().union(*(s.reads for s in members))
-                - set().union(*(s.writes for s in members))
-            )
-            if kind == "job":
-                # invert-final always re-runs on resume, matching barrier
-                # semantics (its reducers' outputs feed collect-output).
-                done = (
-                    resume
-                    and name != "invert-final"
-                    and log is not None
-                    and log.committed(f"job:{name}")
-                )
-                make_conf = job_conf_factory(name)
-
-                def run_job_unit(wait: float, make_conf=make_conf) -> tuple:
-                    conf = make_conf()
-                    result = pipeline.execute_job(
-                        conf,
-                        parent_span=run_span,
-                        span_attrs={
-                            "schedule": "dataflow",
-                            "sched_wait_seconds": round(wait, 6),
-                        },
-                    )
-                    return (conf.name, conf.output_commit, result)
-
-                def commit_job_unit(payload: tuple) -> None:
-                    conf_name, output_commit, result = payload
-                    pipeline.commit_job(
-                        conf_name, result, output_commit=output_commit
-                    )
-
-                units.append(
-                    UnitSpec(
-                        name=name,
-                        kind="job",
-                        needs=needs,
-                        run=run_job_unit,
-                        commit=commit_job_unit,
-                        done=done,
-                    )
-                )
-            else:
-                body, flops = phase_body(name)
-                done = (
-                    resume
-                    and log is not None
-                    and log.committed(f"phase:{name}")
-                )
-
-                def run_phase_unit(
-                    wait: float, name=name, body=body, flops=flops
-                ) -> tuple:
-                    # Per-unit MasterIO: phase scoping and byte counters are
-                    # mutable per-phase state, unshareable across threads.
-                    master = MasterIO(dfs)
-                    _, phase, published = pipeline.execute_phase(
-                        name,
-                        lambda: body(master),
-                        flops=flops,
-                        io=master,
-                        parent_span=run_span,
-                        span_attrs={
-                            "schedule": "dataflow",
-                            "sched_wait_seconds": round(wait, 6),
-                        },
-                    )
-                    return (phase, published)
-
-                def commit_phase_unit(payload: tuple, name=name) -> None:
-                    phase, published = payload
-                    pipeline.commit_phase(name, phase, published)
-
-                units.append(
-                    UnitSpec(
-                        name=name,
-                        kind="phase",
-                        needs=needs,
-                        run=run_phase_unit,
-                        commit=commit_phase_unit,
-                        done=done,
-                    )
-                )
-        return units
-
-    def _invert_dataflow(
-        self, a: np.ndarray, *, resume: bool = False
-    ) -> InversionResult:
-        """Dataflow-mode :meth:`invert`: same steps, block-driven launches."""
-        from ..analysis.model import build_model
-        from ..mapreduce.scheduler import DataflowScheduler
-
-        cfg = self.config
-        if not cfg.output_commit:
-            raise ValueError(
-                "dataflow scheduling requires output_commit: step readiness "
-                "is keyed on sealed (published) blocks"
-            )
-        a = np.asarray(a, dtype=np.float64)
-        before = self.runtime.dfs.stats.snapshot()
-        tracer = resolve_tracer(cfg.telemetry)
-        with tracer.span("invert", SpanKind.RUN) as run_span:
-            if tracer.enabled:
-                run_span.set(
-                    n=a.shape[0], nb=cfg.nb, m0=cfg.m0, resume=resume,
-                    schedule="dataflow",
-                )
-            layout, pipeline, master = self._prepare(a, resume=resume)
-            model = build_model(a.shape[0], cfg)
-            units = self._dataflow_units(
-                layout,
-                pipeline,
-                model,
-                run_span if tracer.enabled else None,
-                resume=resume,
-            )
-            scheduler = DataflowScheduler(
-                dfs=self.runtime.dfs,
-                units=units,
-                model=model,
-                telemetry=cfg.telemetry,
-            )
-            report = scheduler.run()
-            inverse = self._assemble_inverse(layout, pipeline, master)
-
-        io = self.runtime.dfs.stats.snapshot() - before
-        if tracer.enabled:
-            tracer.metrics.absorb_iostats(io)
-        return InversionResult(
-            inverse=inverse,
-            plan=layout.plan,
-            layout=layout,
-            record=pipeline.record,
-            config=self.config,
-            io=io,
-            scheduler_report=report,
-        )
-
     # -- public operations ---------------------------------------------------------
 
     def invert(self, a: np.ndarray, *, resume: bool = False) -> InversionResult:
         """Invert ``a`` through the full MapReduce pipeline.
 
         ``resume=True`` continues a previous run of the same matrix on this
-        runtime's DFS (e.g. after a driver crash): completed stages are
-        detected by their persisted outputs and skipped.
+        runtime's DFS (e.g. after a driver crash): completed steps are
+        detected by their manifests (or, with ``output_commit`` off, their
+        output files) and skipped.
 
         With ``schedule="dataflow"`` (on the inversion or runtime config)
         the same steps run under the block-availability scheduler
@@ -692,50 +597,9 @@ class MatrixInverter:
         sequence; results and DFS end-state are identical, completion order
         is not.
         """
-        if self._schedule_mode() == "dataflow":
-            return self._invert_dataflow(a, resume=resume)
         a = np.asarray(a, dtype=np.float64)
-        before = self.runtime.dfs.stats.snapshot()
-        tracer = resolve_tracer(self.config.telemetry)
-        with tracer.span("invert", SpanKind.RUN) as run_span:
-            if tracer.enabled:
-                run_span.set(
-                    n=a.shape[0], nb=self.config.nb, m0=self.config.m0,
-                    resume=resume,
-                )
-            layout, pipeline, master = self._prepare(a, resume=resume)
-            tree = layout.plan.tree
-
-            log = self._commit_log()
-            if log is not None:
-                partition_done = (
-                    resume
-                    and not tree.is_leaf
-                    and log.committed("job:partition")
-                )
-            else:
-                partition_done = resume and not tree.is_leaf and all(
-                    self.runtime.dfs.exists(p)
-                    for node in tree.input_nodes()
-                    if not node.is_leaf
-                    for p in layout.of(node).a3.file_paths()
-                ) and self.runtime.dfs.exists(layout.map_input_path(0))
-            if not tree.is_leaf and not partition_done:
-                pipeline.run_job(partition_job(layout))
-            self._decompose(layout, pipeline, master, tree, resume=resume)
-            pipeline.run_job(invert_job(layout))
-            inverse = self._assemble_inverse(layout, pipeline, master)
-
-        io = self.runtime.dfs.stats.snapshot() - before
-        if tracer.enabled:
-            tracer.metrics.absorb_iostats(io)
-        return InversionResult(
-            inverse=inverse,
-            plan=layout.plan,
-            layout=layout,
-            record=pipeline.record,
-            config=self.config,
-            io=io,
+        return self._invert(
+            "invert", a.shape[0], "write-input", self._encoder(a), resume=resume
         )
 
     def distributed_residual(self, result: InversionResult) -> float:
@@ -760,47 +624,13 @@ class MatrixInverter:
         rows, cols = formats.matrix_shape(dfs, path)
         if rows != cols:
             raise ValueError(f"matrix at {path} is {rows}x{cols}, not square")
-        cfg = self.config
-        if cfg.input_format != "binary":
+        if self.config.input_format != "binary":
             raise ValueError("invert_path requires binary input_format")
-        plan, layout = self._plan_and_layout(rows)
-        self._configure_cache()
-        if dfs.exists(cfg.root):
-            dfs.delete(cfg.root, recursive=True)
-
-        before = dfs.stats.snapshot()
-        tracer = resolve_tracer(self.config.telemetry)
-        with tracer.span("invert-path", SpanKind.RUN) as run_span:
-            if tracer.enabled:
-                run_span.set(n=rows, nb=cfg.nb, m0=cfg.m0, path=path)
-            master = MasterIO(dfs)
-            pipeline = self._pipeline()
-
-            def link_inputs() -> None:
-                # Copy the matrix into the work directory (HDFS has no
-                # hardlinks; a rename would destroy the caller's file).
-                master.write_bytes(layout.input_path, dfs.read_bytes(path))
-                for j in range(cfg.m0):
-                    master.write_bytes(layout.map_input_path(j), str(j).encode())
-
-            pipeline.master_phase("link-input", link_inputs, io=master)
-
-            tree = plan.tree
-            if not tree.is_leaf:
-                pipeline.run_job(partition_job(layout))
-            self._decompose(layout, pipeline, master, tree)
-            pipeline.run_job(invert_job(layout))
-            inverse = self._assemble_inverse(layout, pipeline, master)
-        io = dfs.stats.snapshot() - before
-        if tracer.enabled:
-            tracer.metrics.absorb_iostats(io)
-        return InversionResult(
-            inverse=inverse,
-            plan=plan,
-            layout=layout,
-            record=pipeline.record,
-            config=cfg,
-            io=io,
+        # Copy the matrix into the work directory (HDFS has no hardlinks; a
+        # rename would destroy the caller's file).
+        return self._invert(
+            "invert-path", rows, "link-input", lambda: dfs.read_bytes(path),
+            path=path,
         )
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -830,24 +660,21 @@ class MatrixInverter:
     def lu(self, a: np.ndarray) -> LUFactors:
         """Run only the LU stage and assemble ``P A = L U``."""
         a = np.asarray(a, dtype=np.float64)
-        tracer = resolve_tracer(self.config.telemetry)
-        with tracer.span("lu", SpanKind.RUN) as run_span:
-            if tracer.enabled:
-                run_span.set(n=a.shape[0], nb=self.config.nb, m0=self.config.m0)
-            layout, pipeline, master = self._prepare(a)
+
+        def factors(layout: Layout, pipeline: Pipeline, master: MasterIO):
             tree = layout.plan.tree
-            if not tree.is_leaf:
-                pipeline.run_job(partition_job(layout))
-            self._decompose(layout, pipeline, master, tree)
-            lower = read_lower(layout, tree, master)
-            upper = read_upper(layout, tree, master)
-            perm = read_perm(layout, tree, master)
+            return (
+                read_lower(layout, tree, master),
+                read_upper(layout, tree, master),
+                read_perm(layout, tree, master),
+            )
+
+        layout, record, (lower, upper, perm), _, _ = self._run(
+            "lu", a.shape[0], "write-input", self._encoder(a), factors,
+            lu_only=True,
+        )
         return LUFactors(
-            lower=lower,
-            upper=upper,
-            perm=perm,
-            plan=layout.plan,
-            record=pipeline.record,
+            lower=lower, upper=upper, perm=perm, plan=layout.plan, record=record
         )
 
 

@@ -115,13 +115,15 @@ class Pipeline:
 
     # -- execute / commit split --------------------------------------------------
     #
-    # ``run_job``/``master_phase`` execute AND commit in one call — the
-    # barrier pipeline's behaviour.  The dataflow scheduler needs the two
-    # halves apart: ``execute_*`` runs the step (publishing its data blocks
-    # immediately, from a unit thread), while ``commit_*`` — the record
-    # append and manifest write — is deferred to the scheduler's plan-order
-    # flusher so ``record.steps`` and the ``job:``/``phase:`` manifests stay
-    # in deterministic plan order under concurrent completion.
+    # Every step runs in two halves.  ``execute_*`` runs the step and
+    # publishes its data blocks the moment it finishes (from a scheduler
+    # unit thread in dataflow mode, so dependents' readiness can fire);
+    # ``commit_*`` — the record append and the ``job:``/``phase:`` manifest
+    # write — is called in plan order (by the scheduler's flusher, or
+    # straight after ``execute_*`` in barrier mode), so ``record.steps`` and
+    # the manifests stay in deterministic plan order under concurrent
+    # completion.  ``run_job``/``master_phase`` are the two halves back to
+    # back.
 
     def execute_job(
         self,
@@ -173,54 +175,23 @@ class Pipeline:
         """Run ``fn`` serially on the (conceptual) master node, recording its
         declared resource usage for the cluster replay.
 
-        When ``io`` is given, the bytes the phase moved are drained from it
-        (``take_io``) and added to the declared counts — so callers don't
-        have to reach back into the record, and the phase's telemetry span
-        carries the byte attributes before it closes.
-
-        With a ``commit_log`` and an ``io`` adapter that supports phase
-        scoping (``begin_phase``/``end_phase``), the phase's writes are
-        staged, published atomically after ``fn`` returns, and recorded in
-        a ``phase:<name>`` manifest — the phase's durable done-marker.
+        :meth:`execute_phase` then :meth:`commit_phase`: with ``io`` given,
+        the bytes the phase moved are drained from it (``take_io``) into
+        the record and the phase's telemetry span; with a ``commit_log``
+        and an ``io`` adapter that supports phase scoping
+        (``begin_phase``/``end_phase``), the phase's writes are staged,
+        published atomically after ``fn`` returns, and recorded in a
+        ``phase:<name>`` manifest — the phase's durable done-marker.
         """
-        scope = self._open_phase_scope(name, io)
-
-        def run() -> Any:
-            result = fn()
-            if scope is not None:
-                # Phase commit: one atomic publish, then the manifest.  A
-                # crash before the manifest write re-runs the whole phase.
-                published = scope.publish()
-                io.end_phase()
-                self.commit_log.record(f"phase:{name}", published)
-            return result
-
-        tracer = resolve_tracer(self.telemetry)
-        start = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span(name, SpanKind.MASTER_PHASE) as span:
-                out = run()
-                if io is not None:
-                    r, w = io.take_io()
-                    bytes_read += r
-                    bytes_written += w
-                span.set(
-                    bytes_read=bytes_read, bytes_written=bytes_written, flops=flops
-                )
-        else:
-            out = run()
-            if io is not None:
-                r, w = io.take_io()
-                bytes_read += r
-                bytes_written += w
-        phase = MasterPhase(
-            name=name,
+        out, phase, published = self.execute_phase(
+            name,
+            fn,
             flops=flops,
             bytes_read=bytes_read,
             bytes_written=bytes_written,
-            wall_seconds=time.perf_counter() - start,
+            io=io,
         )
-        self.record.steps.append(phase)
+        self.commit_phase(name, phase, published)
         return out
 
     def _open_phase_scope(
@@ -253,11 +224,10 @@ class Pipeline:
     ) -> tuple[Any, MasterPhase, list[str] | None]:
         """Run a master phase and publish its writes — without committing.
 
-        The dataflow half of :meth:`master_phase`: the phase's staged writes
+        The first half of :meth:`master_phase`: the phase's staged writes
         are published atomically the moment ``fn`` returns (so dependents'
         readiness can fire), but the record append and ``phase:`` manifest
-        are left to :meth:`commit_phase`, which the scheduler calls in plan
-        order.  Returns ``(fn's result, the MasterPhase record, published
+        are left to :meth:`commit_phase`, called in plan order.  Returns ``(fn's result, the MasterPhase record, published
         paths)`` — published is ``None`` when no commit scope applied (no
         commit log, or ``io`` without phase scoping).
 

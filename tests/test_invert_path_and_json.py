@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import InversionConfig
-from repro.dfs import formats
+from repro.dfs import CommitScope, formats, fsck
 from repro.inversion import MatrixInverter
 from repro.mapreduce import HistoryReport, MapReduceRuntime
 
@@ -45,6 +45,19 @@ class TestInvertPath:
         result = inv.invert_path("/etl/out.bin")
         a = formats.read_matrix(rt.dfs, "/etl/out.bin")
         assert result.residual(a) < 1e-9
+        rt.shutdown()
+
+    def test_from_scratch_run_discards_staging_debris(self, rng):
+        """A crashed attempt's never-published staging must not survive a
+        fresh invert_path run, exactly as for invert."""
+        rt = MapReduceRuntime()
+        a = random_invertible(rng, 32)
+        formats.write_matrix(rt.dfs, "/warehouse/matrix.bin", a)
+        CommitScope(rt.dfs, "crashed-attempt").stage_bytes("/Root/L/part", b"torn")
+        inv = MatrixInverter(InversionConfig(nb=8, m0=4), runtime=rt)
+        result = inv.invert_path("/warehouse/matrix.bin")
+        assert result.residual(a) < 1e-9
+        assert fsck(rt.dfs, repair=False).issues == []
         rt.shutdown()
 
     def test_non_square_rejected(self, rng):

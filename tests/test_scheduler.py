@@ -19,7 +19,7 @@ from repro import InversionConfig
 from repro.analysis import build_model
 from repro.analysis.dataflow import barrier_slack_data, build_block_dag
 from repro.chaos import DriverCrashError
-from repro.dfs import DFS, CommitScope
+from repro.dfs import DFS, CommitScope, formats
 from repro.inversion import MatrixInverter
 from repro.mapreduce import (
     DataflowScheduler,
@@ -38,6 +38,11 @@ def small_cluster(executor: str = "serial", workers: int = 2):
         dfs=dfs, config=RuntimeConfig(num_workers=workers, executor=executor)
     )
     return dfs, runtime
+
+
+def step_name(step) -> str:
+    """Record entry name: a master phase's name or a job's conf name."""
+    return getattr(step, "name", None) or step.conf.name
 
 
 def publish_unit(dfs, name, needs, writes, log=None, body=None):
@@ -264,10 +269,13 @@ class TestDataflowInversion:
         assert units_run == expected_units
         assert slack["sync_points"]["dataflow"] == slack["stages"]
 
-    def test_crash_between_sibling_subtrees_resumes(self, rng):
+    def _crash_between_sibling_subtrees(self, rng, schedule):
+        """Crash the driver at the first write into the second subtree, then
+        resume; returns the matrix, the resumed result, and the names of the
+        jobs the resumed run launched."""
         a = random_invertible(rng, 8)
         dfs, rt = small_cluster("threads")
-        cfg = InversionConfig(nb=2, m0=2, schedule="dataflow")
+        cfg = InversionConfig(nb=2, m0=2, schedule=schedule)
 
         def hook(op, path):
             if op == "create" and "/Root/OUT/A1" in path:
@@ -278,13 +286,85 @@ class TestDataflowInversion:
         try:
             with pytest.raises(DriverCrashError):
                 MatrixInverter(cfg, runtime=rt).invert(a)
+            jobs_at_crash = len(rt.history)
             result = MatrixInverter(cfg, runtime=rt).invert(a, resume=True)
+            resumed_jobs = [job.name for job in rt.history[jobs_at_crash:]]
         finally:
             rt.shutdown()
         assert result.residual(a) < 1e-9
+        return a, result, resumed_jobs
+
+    def test_crash_between_sibling_subtrees_resumes(self, rng):
+        _, result, resumed_jobs = self._crash_between_sibling_subtrees(
+            rng, "dataflow"
+        )
         # The first subtree's committed work was skipped, not re-run.
         assert "lu:/Root/A1" in result.scheduler_report.skipped
+        assert "lu:/Root/A1" not in resumed_jobs
         assert "master-lu:/Root/OUT/A1" in result.scheduler_report.launch_order
+
+    def test_crash_between_sibling_subtrees_resumes_barrier(self, rng):
+        _, result, resumed_jobs = self._crash_between_sibling_subtrees(
+            rng, "barrier"
+        )
+        # Same per-unit resume rule in plan order: the first subtree's job
+        # is not re-run, the second subtree's leaf is.
+        assert "lu:/Root/A1" not in resumed_jobs
+        assert "lu:/Root/OUT" in resumed_jobs
+        assert "master-lu:/Root/OUT/A1" in [
+            step_name(s) for s in result.record.steps
+        ]
+
+    def test_lu_matches_barrier_exactly(self, rng, monkeypatch):
+        import repro.inversion.driver as driver
+
+        schedulers = []
+
+        class RecordingScheduler(DataflowScheduler):
+            def run(self):
+                schedulers.append(self)
+                return super().run()
+
+        monkeypatch.setattr(driver, "DataflowScheduler", RecordingScheduler)
+        a = random_invertible(rng, 16)
+        factors = {}
+        for schedule in ("barrier", "dataflow"):
+            dfs, rt = small_cluster()
+            cfg = InversionConfig(nb=4, m0=2, schedule=schedule)
+            try:
+                factors[schedule] = MatrixInverter(cfg, runtime=rt).lu(a)
+            finally:
+                rt.shutdown()
+        barrier, dataflow = factors["barrier"], factors["dataflow"]
+        np.testing.assert_array_equal(barrier.lower, dataflow.lower)
+        np.testing.assert_array_equal(barrier.upper, dataflow.upper)
+        np.testing.assert_array_equal(barrier.perm, dataflow.perm)
+        names = [step_name(s) for s in barrier.record.steps]
+        assert names == [step_name(s) for s in dataflow.record.steps]
+        assert "invert-final" not in names
+        # Only the dataflow run went through the scheduler.
+        assert len(schedulers) == 1
+
+    def test_invert_path_matches_barrier_exactly(self, rng):
+        a = random_invertible(rng, 16)
+        results, manifests = {}, {}
+        for schedule in ("barrier", "dataflow"):
+            dfs, rt = small_cluster()
+            formats.write_matrix(dfs, "/warehouse/a.bin", a)
+            cfg = InversionConfig(nb=4, m0=2, schedule=schedule)
+            try:
+                results[schedule] = MatrixInverter(cfg, runtime=rt).invert_path(
+                    "/warehouse/a.bin"
+                )
+                manifests[schedule] = sorted(dfs.list_files("/Root/_commit"))
+            finally:
+                rt.shutdown()
+        np.testing.assert_array_equal(
+            results["barrier"].inverse, results["dataflow"].inverse
+        )
+        assert manifests["barrier"] == manifests["dataflow"]
+        assert any("link-input" in path for path in manifests["barrier"])
+        assert results["dataflow"].scheduler_report is not None
 
     @pytest.mark.parametrize("executor", ["threads", "processes"])
     def test_backends_run_dataflow(self, rng, executor):

@@ -59,9 +59,9 @@ class TestDistributedSort:
 
 
 class TestResume:
-    def _crash_then_resume(self, rng, crash_job_prefix):
+    def _crash_then_resume(self, rng, crash_job_prefix, output_commit=True):
         a = random_invertible(rng, 96)
-        cfg = InversionConfig(nb=24, m0=4)
+        cfg = InversionConfig(nb=24, m0=4, output_commit=output_commit)
 
         class FailJob(FailAlways):
             def should_fail(self, attempt):
@@ -91,6 +91,19 @@ class TestResume:
     def test_resume_after_early_crash_redoes_most(self, rng):
         a, result, jobs_resumed = self._crash_then_resume(rng, "lu:/Root/A1")
         assert result.residual(a) < 1e-9
+
+    @pytest.mark.parametrize("crash_job_prefix", ["lu:/Root/A1", "lu:/Root/OUT"])
+    def test_resume_with_commit_off_uses_output_files(self, rng, crash_job_prefix):
+        """Without manifests a step counts as done when every file it writes
+        exists: the crashed job re-runs, the steps before it do not."""
+        a, result, jobs_resumed = self._crash_then_resume(
+            rng, crash_job_prefix, output_commit=False
+        )
+        assert result.residual(a) < 1e-9
+        assert jobs_resumed < result.plan.num_jobs
+        resumed = [s.name for s in result.record.steps]
+        assert "partition" not in resumed
+        assert crash_job_prefix in resumed
 
     def test_resume_of_untouched_root_runs_everything(self, rng):
         rt = MapReduceRuntime()
