@@ -8,13 +8,16 @@ Five sweeps, one line each:
 * **DF** — block-dataflow defect rules (write-before-read, dead blocks,
   redundant reads, cycles, generation order) over the acceptance plan's
   block DAG.
-* **PU** — task-purity rules over the shipped examples and experiment
-  drivers (plus the pipeline's own job confs, linted alongside PL).
+* **PU** — task-purity rules over the whole ``repro`` package and the
+  shipped examples (plus the pipeline's own job confs, linted alongside PL).
 * **CN** — lock-discipline rules over the engine's threaded modules.
-* **PS** — process-safety rules over the whole ``repro`` package.
+* **PS** — process-safety rules over the whole ``repro`` package and the
+  shipped examples.
 
 Any finding is listed below its family's row.  Exit status 0 iff no
-error-severity findings anywhere — the single gate ``make lint`` rides on.
+error-severity finding anywhere, no process-safety finding of any severity
+(the process-pool pre-flight refuses any), and the PS sweep stays within
+its runtime budget — the single gate ``make lint`` rides on.
 """
 
 from __future__ import annotations
@@ -31,12 +34,15 @@ from repro.analysis import (  # noqa: E402
     analyze_concurrency_files,
     analyze_procsafety_files,
     build_model,
-    default_procsafety_files,
     default_threaded_files,
     lint_dataflow,
     lint_pipeline,
     lint_source_file,
 )
+from repro.analysis.astutil import package_files  # noqa: E402
+
+#: Wall-clock budget for the whole-package process-safety sweep.
+PS_BUDGET_S = 60.0
 
 
 def main() -> int:
@@ -51,21 +57,20 @@ def main() -> int:
     df = lint_dataflow(build_model(4096))
     rows.append(("DF", "block DAG n=4096 nb=512", 1, df, time.perf_counter() - t0))
 
-    source_paths = sorted((ROOT / "examples").glob("*.py"))
-    source_paths += sorted((ROOT / "src" / "repro" / "experiments").glob("*.py"))
+    source_paths = package_files() + sorted((ROOT / "examples").glob("*.py"))
     t0 = time.perf_counter()
     pu = [f for p in source_paths for f in lint_source_file(p)]
-    rows.append(("PU", "examples + experiments", len(source_paths), pu, time.perf_counter() - t0))
+    rows.append(("PU", "package + examples", len(source_paths), pu, time.perf_counter() - t0))
 
     cn_paths = default_threaded_files()
     t0 = time.perf_counter()
     cn = analyze_concurrency_files(cn_paths)
     rows.append(("CN", "engine threaded modules", len(cn_paths), cn, time.perf_counter() - t0))
 
-    ps_paths = default_procsafety_files()
     t0 = time.perf_counter()
-    ps = analyze_procsafety_files(ps_paths)
-    rows.append(("PS", "whole repro package", len(ps_paths), ps, time.perf_counter() - t0))
+    ps = analyze_procsafety_files(source_paths)
+    ps_secs = time.perf_counter() - t0
+    rows.append(("PS", "package + examples", len(source_paths), ps, ps_secs))
 
     header = f"{'family':<8}{'sweep':<26}{'modules':>8}{'errors':>8}{'warnings':>10}{'info':>6}{'secs':>8}"
     print(header)
@@ -88,8 +93,14 @@ def main() -> int:
     else:
         print("\nall analyzers clean")
 
-    n_errors = sum(1 for f in all_findings if f.severity == Severity.ERROR)
-    return 1 if n_errors else 0
+    failed = any(f.severity == Severity.ERROR for f in all_findings)
+    if ps:
+        print(f"\n{len(ps)} process-safety finding(s): the process-pool pre-flight refuses any")
+        failed = True
+    if ps_secs >= PS_BUDGET_S:
+        print(f"\nlint runtime budget blown: PS sweep took {ps_secs:.1f}s >= {PS_BUDGET_S:.0f}s")
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

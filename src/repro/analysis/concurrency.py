@@ -41,8 +41,8 @@ locks held.  Violations are reported through the shared
            handed to an executor/Thread) mutates enclosing mutable state
            without holding any lock.
 
-Suppressions reuse the purity checker's mechanism: append
-``# lint: ignore[CN006]`` (or a bare ``# lint: ignore``) to the line.
+Suppressions use the shared mechanism (:mod:`~repro.analysis.astutil`):
+append ``# lint: ignore[CN006]`` (or a bare ``# lint: ignore``) to the line.
 
 Known limitations (see ``docs/static_analysis.md``): the analysis is
 instance-insensitive (all instances of a class share one abstract lock), the
@@ -59,8 +59,15 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .astutil import (
+    PACKAGE_ROOT,
+    ModuleSource,
+    SourceSet,
+    dotted,
+    function_params,
+    local_names,
+)
 from .findings import Finding
-from .purity import _line_suppresses
 
 _GUARDED_RE = re.compile(r"#\s*guarded-by:\s*([A-Za-z_]\w*)")
 _REQUIRES_RE = re.compile(r"#\s*requires-lock:\s*([A-Za-z_]\w*)")
@@ -98,32 +105,20 @@ _BLOCKING_METHODS = frozenset(
 _CONSTRUCTION_METHODS = frozenset({"__init__", "__post_init__", "__del__"})
 
 
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _is_lock_ctor(node: ast.AST) -> str | None:
     """Lock kind when ``node`` is ``threading.Lock()`` / ``RLock()`` /
     ``Condition()`` or a dataclass ``field(default_factory=threading.Lock)``."""
     if not isinstance(node, ast.Call):
         return None
-    dotted = _dotted(node.func)
-    if dotted is not None:
-        leaf = dotted.split(".")[-1]
+    name = dotted(node.func)
+    if name is not None:
+        leaf = name.split(".")[-1]
         if leaf in _LOCK_CTORS:
             return _LOCK_CTORS[leaf]
         if leaf == "field":
             for kw in node.keywords:
                 if kw.arg == "default_factory":
-                    factory = _dotted(kw.value)
+                    factory = dotted(kw.value)
                     if factory is not None:
                         fleaf = factory.split(".")[-1]
                         if fleaf in _LOCK_CTORS:
@@ -206,28 +201,7 @@ class LockOrderEdge:
     location: str
 
 
-class _ModuleSource:
-    """One parsed input module."""
-
-    def __init__(self, text: str, filename: str) -> None:
-        self.text = text
-        self.filename = filename
-        self.lines = text.splitlines()
-        self.tree: ast.Module | None
-        self.parse_error: SyntaxError | None = None
-        try:
-            self.tree = ast.parse(text, filename=filename)
-        except SyntaxError as exc:
-            self.tree = None
-            self.parse_error = exc
-
-    def line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
-
-class ConcurrencyAnalyzer:
+class ConcurrencyAnalyzer(SourceSet):
     """Whole-package lockset and lock-order analysis.
 
     Feed modules with :meth:`add_module` (or :meth:`add_file`), then call
@@ -236,12 +210,13 @@ class ConcurrencyAnalyzer:
     and the lock-order graph resolve across file boundaries.
     """
 
+    parse_rule = "CN007"
+
     def __init__(self) -> None:
-        self._modules: list[_ModuleSource] = []
+        super().__init__()
         self.classes: dict[str, ClassModel] = {}
         self.edges: list[LockOrderEdge] = []
         self._lock_kinds: dict[str, str] = {}  # "Class.attr" -> kind
-        self.findings: list[Finding] = []
         # (class, method) -> locks directly acquired / callees, for the
         # transitive-acquisition fixpoint behind CN005.
         self._direct_acquires: dict[tuple[str, str], set[str]] = {}
@@ -251,21 +226,17 @@ class ConcurrencyAnalyzer:
 
     # -- input -----------------------------------------------------------------
 
-    def add_module(self, text: str, filename: str = "<string>") -> None:
-        module = _ModuleSource(text, filename)
-        self._modules.append(module)
-        if module.tree is not None:
+    def add_module(self, text: str, filename: str = "<string>") -> ModuleSource | None:
+        module = super().add_module(text, filename)
+        if module is not None:
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.ClassDef):
                     self._collect_class(node, module)
-
-    def add_file(self, path: str | pathlib.Path) -> None:
-        path = pathlib.Path(path)
-        self.add_module(path.read_text(encoding="utf-8"), str(path))
+        return module
 
     # -- class model collection ------------------------------------------------
 
-    def _collect_class(self, node: ast.ClassDef, module: _ModuleSource) -> None:
+    def _collect_class(self, node: ast.ClassDef, module: ModuleSource) -> None:
         model = ClassModel(name=node.name, filename=module.filename, node=node)
         self.classes[node.name] = model
         for stmt in node.body:
@@ -280,10 +251,10 @@ class ConcurrencyAnalyzer:
         self,
         model: ClassModel,
         fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        module: _ModuleSource,
+        module: ModuleSource,
     ) -> None:
         for deco in fn.decorator_list:
-            deco_name = _dotted(deco) or ""
+            deco_name = dotted(deco) or ""
             if deco_name == "property" or deco_name.endswith(".setter"):
                 model.properties.add(fn.name)
         model.methods.setdefault(fn.name, fn)
@@ -307,7 +278,7 @@ class ConcurrencyAnalyzer:
         self,
         model: ClassModel,
         stmt: ast.Assign | ast.AnnAssign,
-        module: _ModuleSource,
+        module: ModuleSource,
         *,
         selfless: bool,
         fn: ast.FunctionDef | ast.AsyncFunctionDef | None = None,
@@ -367,23 +338,23 @@ class ConcurrencyAnalyzer:
         if value is None:
             return
         if isinstance(value, ast.Call):
-            callee = _dotted(value.func)
+            callee = dotted(value.func)
             if callee is not None:
                 model.attr_types.setdefault(attr, callee.split(".")[-1])
         elif isinstance(value, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
             if isinstance(value.elt, ast.Call):
-                callee = _dotted(value.elt.func)
+                callee = dotted(value.elt.func)
                 if callee is not None:
                     model.attr_elem_types.setdefault(attr, callee.split(".")[-1])
         elif isinstance(value, (ast.List, ast.Tuple)) and value.elts:
             first = value.elts[0]
             if isinstance(first, ast.Call):
-                callee = _dotted(first.func)
+                callee = dotted(first.func)
                 if callee is not None:
                     model.attr_elem_types.setdefault(attr, callee.split(".")[-1])
         elif isinstance(value, ast.Name) and fn is not None:
             # ``self.x = param`` with an annotated parameter.
-            for arg in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs):
+            for arg in function_params(fn):
                 if arg.arg == value.id:
                     resolved = self._first_match_later(
                         _ann_identifiers(arg.annotation)
@@ -410,18 +381,8 @@ class ConcurrencyAnalyzer:
 
     def run(self) -> list[Finding]:
         """Analyze every collected module; returns all findings."""
-        for module in self._modules:
-            if module.parse_error is not None:
-                exc = module.parse_error
-                self._emit(
-                    "CN007",
-                    f"{module.filename} does not parse: {exc.msg} "
-                    f"(line {exc.lineno})",
-                    f"{module.filename}:{exc.lineno or 1}",
-                )
-                continue
+        for module in self.modules:
             self._check_annotations(module)
-            assert module.tree is not None
             for node in module.tree.body:
                 if isinstance(node, ast.ClassDef):
                     model = self.classes[node.name]
@@ -432,11 +393,11 @@ class ConcurrencyAnalyzer:
                     self._analyze_function(node, module, owner=None)
         self._resolve_call_events()
         self._check_lock_order()
-        return self._suppressed_filtered()
+        return self.filtered()
 
     # -- annotation sanity (CN007) ---------------------------------------------
 
-    def _check_annotations(self, module: _ModuleSource) -> None:
+    def _check_annotations(self, module: ModuleSource) -> None:
         for model in self.classes.values():
             if model.filename != module.filename:
                 continue
@@ -456,7 +417,7 @@ class ConcurrencyAnalyzer:
     def _analyze_function(
         self,
         fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        module: _ModuleSource,
+        module: ModuleSource,
         owner: ClassModel | None,
     ) -> None:
         walker = _FunctionWalker(self, module, owner, fn)
@@ -546,22 +507,6 @@ class ConcurrencyAnalyzer:
             Finding.of(rule, message, location=location, hint=hint)
         )
 
-    def _suppressed_filtered(self) -> list[Finding]:
-        by_file = {m.filename: m for m in self._modules}
-        out: list[Finding] = []
-        for finding in self.findings:
-            filename, _, lineno = finding.location.rpartition(":")
-            module = by_file.get(filename)
-            if (
-                module is not None
-                and lineno.isdigit()
-                and _line_suppresses(module.line(int(lineno)), finding.rule)
-            ):
-                continue
-            out.append(finding)
-        return out
-
-
 class _Scope:
     """Per-function naming environment for the light type inference."""
 
@@ -577,7 +522,7 @@ class _FunctionWalker:
     def __init__(
         self,
         analyzer: ConcurrencyAnalyzer,
-        module: _ModuleSource,
+        module: ModuleSource,
         owner: ClassModel | None,
         fn: ast.FunctionDef | ast.AsyncFunctionDef,
         *,
@@ -618,8 +563,7 @@ class _FunctionWalker:
     def _seed_scope(self) -> None:
         if self.owner is not None:
             self.scope.types["self"] = self.owner.name
-        args = self.fn.args
-        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+        for arg in function_params(self.fn):
             resolved = self.analyzer._first_match_later(
                 _ann_identifiers(arg.annotation)
             )
@@ -924,9 +868,9 @@ class _FunctionWalker:
 
     def _blocking_desc(self, node: ast.Call) -> str | None:
         func = node.func
-        dotted = _dotted(func)
-        if dotted in ("time.sleep", "sleep"):
-            return f"{dotted}()"
+        callee = dotted(func)
+        if callee in ("time.sleep", "sleep"):
+            return f"{callee}()"
         if not isinstance(func, ast.Attribute):
             return None
         name = func.attr
@@ -1037,7 +981,7 @@ class _NestedChecker:
     def run(self) -> None:
         if isinstance(self.node, ast.Lambda):
             if self.escapes:
-                self._check_closure_mutations_lambda(self.node)
+                self._check_closure_mutations(self.parent)
             return
         walker = _FunctionWalker(
             self.parent.analyzer,
@@ -1060,19 +1004,6 @@ class _NestedChecker:
 
     # -- CN008 -----------------------------------------------------------------
 
-    def _own_names(self) -> set[str]:
-        assert not isinstance(self.node, ast.Lambda)
-        names: set[str] = set()
-        args = self.node.args
-        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-            names.add(arg.arg)
-        for sub in ast.walk(self.node):
-            if isinstance(sub, ast.Name) and isinstance(
-                sub.ctx, (ast.Store, ast.Del)
-            ):
-                names.add(sub.id)
-        return names
-
     def _enclosing_mutable_names(self) -> set[str]:
         """Names bound anywhere up the enclosing-function chain (closure
         candidates) — a callback may capture state from a grandparent scope
@@ -1080,18 +1011,17 @@ class _NestedChecker:
         names: set[str] = set()
         walker: _FunctionWalker | None = self.parent
         while walker is not None:
-            args = walker.fn.args
-            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-                names.add(arg.arg)
-            for sub in ast.walk(walker.fn):
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-                    names.add(sub.id)
+            names |= local_names(walker.fn)
             walker = walker.enclosing
         return names
 
     def _check_closure_mutations(self, walker: _FunctionWalker) -> None:
-        assert not isinstance(self.node, ast.Lambda)
-        own = self._own_names()
+        if isinstance(self.node, ast.Lambda):
+            what, tail = "<lambda>: escaping lambda", ""
+        else:
+            what = f"{self.node.name}: escaping callback"
+            tail = " (it may run on another thread)"
+        own = local_names(self.node)
         enclosing = self._enclosing_mutable_names()
         lock_guarded_lines = self._lines_under_local_lock(walker)
         for sub in ast.walk(self.node):
@@ -1121,34 +1051,8 @@ class _NestedChecker:
             ):
                 self.parent._emit(
                     "CN008",
-                    f"{self.parent._qual()}.{self.node.name}: escaping "
-                    f"callback mutates enclosing state {mutated!r} without "
-                    "a lock (it may run on another thread)",
-                    sub,
-                    hint="guard the shared structure with a lock, or have "
-                    "the callback return the value instead",
-                )
-
-    def _check_closure_mutations_lambda(self, lam: ast.Lambda) -> None:
-        enclosing = self._enclosing_mutable_names()
-        arg_names = {
-            a.arg
-            for a in (*lam.args.posonlyargs, *lam.args.args, *lam.args.kwonlyargs)
-        }
-        for sub in ast.walk(lam.body):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in _MUTATORS
-                and isinstance(sub.func.value, ast.Name)
-                and sub.func.value.id in enclosing
-                and sub.func.value.id not in arg_names
-            ):
-                self.parent._emit(
-                    "CN008",
-                    f"{self.parent._qual()}.<lambda>: escaping lambda "
-                    f"mutates enclosing state {sub.func.value.id!r} "
-                    "without a lock",
+                    f"{self.parent._qual()}.{what} mutates enclosing state "
+                    f"{mutated!r} without a lock{tail}",
                     sub,
                     hint="guard the shared structure with a lock, or have "
                     "the callback return the value instead",
@@ -1158,7 +1062,6 @@ class _NestedChecker:
         """Line numbers inside ``with <lock>`` blocks of the nested body,
         where the lock resolves via the enclosing scope's lock locals or a
         class lock — those mutations are properly guarded."""
-        assert not isinstance(self.node, ast.Lambda)
         lines: set[int] = set()
         for sub in ast.walk(self.node):
             if isinstance(sub, (ast.With, ast.AsyncWith)):
@@ -1221,8 +1124,7 @@ THREADED_MODULES: tuple[str, ...] = (
 
 def default_threaded_files() -> list[pathlib.Path]:
     """Absolute paths of :data:`THREADED_MODULES` in this installation."""
-    root = pathlib.Path(__file__).resolve().parent.parent
-    return [root / rel for rel in THREADED_MODULES]
+    return [PACKAGE_ROOT / rel for rel in THREADED_MODULES]
 
 
 def missing_threaded_modules() -> list[str]:
@@ -1233,8 +1135,7 @@ def missing_threaded_modules() -> list[str]:
     while checking less.  ``scripts/check_threaded_modules.py`` gates
     ``make lint`` on this returning empty.
     """
-    root = pathlib.Path(__file__).resolve().parent.parent
-    return [rel for rel in THREADED_MODULES if not (root / rel).is_file()]
+    return [rel for rel in THREADED_MODULES if not (PACKAGE_ROOT / rel).is_file()]
 
 
 def analyze_concurrency_sources(

@@ -12,7 +12,8 @@ copies, and no writes to the borrowed read-only views the zero-copy DFS
 read path hands out.  This module proves those properties statically, over
 the AST, without importing the analyzed code.
 
-Task-boundary code is discovered structurally:
+Task-boundary code is discovered structurally, scope by scope
+(:func:`~repro.analysis.astutil.discover_tasks`):
 
 * classes that look like mappers/reducers (``Mapper``/``Reducer`` bases or a
   ``map``/``map_record``/``reduce`` method) — their task methods and
@@ -48,8 +49,9 @@ Rules:
            (checked in *every* function, not just task code — this is the
            lifetime discipline the planned ``ProcessPoolBackend`` must obey).
 
-Suppressions reuse the shared mechanism: append ``# lint: ignore[PS004]``
-(or a bare ``# lint: ignore``) to the offending line.
+Suppressions use the shared mechanism (:mod:`~repro.analysis.astutil`):
+append ``# lint: ignore[PS004]`` (or a bare ``# lint: ignore``) to the
+offending line.
 
 Known limitations: helper propagation (PS004) covers module-level functions
 of the same module; view aliasing follows names, subscripts, and the common
@@ -61,17 +63,24 @@ from __future__ import annotations
 
 import ast
 import pathlib
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .astutil import (
+    API_PARAMS,
+    ModuleSource,
+    SourceSet,
+    TaskFn,
+    discover_tasks,
+    dotted,
+    function_param_names,
+    import_names,
+    local_names,
+    package_files,
+    root_name,
+    scope_bindings,
+)
 from .findings import Finding
-from .purity import _line_suppresses
-
-_BOUNDARY_RE = re.compile(r"#\s*task-boundary\b")
-
-_FACTORY_KEYWORDS = ("mapper_factory", "reducer_factory", "combiner_factory")
-_TASK_METHODS = ("setup", "map", "map_record", "reduce", "cleanup", "__call__")
 
 #: Synchronization primitives (PS007).
 _LOCK_CTORS = frozenset(
@@ -138,30 +147,6 @@ _PRIVATE_RNG_LEAVES = frozenset(
      "SeedSequence", "PCG64", "Philox", "MT19937", "BitGenerator"}
 )
 
-_API_PARAMS = frozenset({"self", "cls", "ctx", "context"})
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _root_name(node: ast.AST) -> str | None:
-    """Leftmost Name of an attribute/subscript chain (``a`` in ``a.b[0].c``)."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _writable_true(call: ast.Call) -> bool:
     for kw in call.keywords:
         if kw.arg == "writable":
@@ -177,10 +162,10 @@ def _classify_value(expr: ast.AST | None) -> tuple[str, str] | None:
     if isinstance(expr, ast.GeneratorExp):
         return "PS001", "a generator expression"
     if isinstance(expr, ast.Call):
-        dotted = _dotted(expr.func)
-        if dotted is None:
+        name = dotted(expr.func)
+        if name is None:
             return None
-        leaf = dotted.split(".")[-1]
+        leaf = name.split(".")[-1]
         if leaf in _LOCK_CTORS:
             return "PS007", f"a {leaf} primitive"
         if leaf in _UNPICKLABLE_CTORS:
@@ -189,112 +174,41 @@ def _classify_value(expr: ast.AST | None) -> tuple[str, str] | None:
             return "PS002", f"a {leaf} handle"
         return None
     if isinstance(expr, ast.Attribute):
-        dotted = _dotted(expr)
-        if dotted is not None and dotted.split(".")[-1] in _HANDLE_ATTRS:
-            return "PS002", f"the engine handle {dotted!r}"
+        name = dotted(expr)
+        if name is not None and name.split(".")[-1] in _HANDLE_ATTRS:
+            return "PS002", f"the engine handle {name!r}"
     return None
 
 
-def _function_param_names(
-    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda,
-) -> list[str]:
-    a = node.args
-    names = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
-    if a.vararg:
-        names.append(a.vararg.arg)
-    if a.kwarg:
-        names.append(a.kwarg.arg)
-    return names
-
-
-class _LocalNames(ast.NodeVisitor):
-    """Names a function binds locally (assignments, loops, withitems,
-    nested def names — not nested bodies)."""
-
-    def __init__(self) -> None:
-        self.names: set[str] = set()
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, (ast.Store, ast.Del)):
-            self.names.add(node.id)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.names.add(node.name)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self.names.add(node.name)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.names.add(node.name)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        pass
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.names.add((alias.asname or alias.name).split(".")[0])
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        for alias in node.names:
-            self.names.add(alias.asname or alias.name)
-
-
-def _local_names(body: Iterable[ast.stmt]) -> set[str]:
-    pass_ = _LocalNames()
-    for stmt in body:
-        pass_.visit(stmt)
-    return pass_.names
-
-
-def _scope_bindings(body: Iterable[ast.stmt]) -> dict[str, ast.AST]:
-    """name -> value expression for simple bindings in one scope (used to
-    classify what a captured name refers to).  Walks nested statements but
-    not nested function/class bodies."""
-    bindings: dict[str, ast.AST] = {}
-
-    def scan(stmts: Iterable[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                bindings[stmt.name] = stmt
-                continue
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        bindings[target.id] = stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                if isinstance(stmt.target, ast.Name) and stmt.value is not None:
-                    bindings[stmt.target.id] = stmt.value
-            elif isinstance(stmt, ast.With):
-                for item in stmt.items:
-                    if isinstance(item.optional_vars, ast.Name):
-                        bindings[item.optional_vars.id] = item.context_expr
-            for child_body in (
-                getattr(stmt, "body", None),
-                getattr(stmt, "orelse", None),
-                getattr(stmt, "finalbody", None),
-            ):
-                if isinstance(child_body, list):
-                    scan(child_body)
-            for handler in getattr(stmt, "handlers", []) or []:
-                scan(handler.body)
-
-    scan(body)
-    return bindings
-
-
-def _class_is_task(node: ast.ClassDef) -> bool:
-    base_names = {
-        b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
-        for b in node.bases
-    }
-    if any("Mapper" in b or "Reducer" in b for b in base_names):
-        return True
-    methods = {
-        stmt.name
-        for stmt in node.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    return bool(methods & {"map", "map_record", "reduce"})
+def _borrow_desc(
+    expr: ast.AST, borrowed: dict[str, str], helpers: dict[str, "_HelperInfo"]
+) -> str | None:
+    """Producer description when ``expr`` evaluates to a borrowed view;
+    ``borrowed`` maps local names bound to views to their producers."""
+    if isinstance(expr, ast.Name):
+        return borrowed.get(expr.id)
+    if isinstance(expr, ast.Subscript):
+        return _borrow_desc(expr.value, borrowed, helpers)
+    if isinstance(expr, ast.Attribute):
+        if expr.attr in _VIEW_ATTRS:
+            return _borrow_desc(expr.value, borrowed, helpers)
+        return None
+    if not isinstance(expr, ast.Call):
+        return None
+    name = dotted(expr.func) or ""
+    leaf = name.split(".")[-1]
+    if leaf in _BORROW_CALLS and not _writable_true(expr):
+        return f"{name}(...)"
+    func = expr.func
+    if (
+        isinstance(func, ast.Name)
+        and func.id in helpers
+        and helpers[func.id].returns_borrowed
+    ):
+        return f"{func.id}(...) (helper returning a borrowed view)"
+    if isinstance(func, ast.Attribute) and leaf in _VIEW_METHODS:
+        return _borrow_desc(func.value, borrowed, helpers)
+    return None
 
 
 # -- helper (interprocedural) summaries -------------------------------------------
@@ -318,38 +232,10 @@ class _HelperScan(ast.NodeVisitor):
     def __init__(self, info: _HelperInfo, helpers: dict[str, _HelperInfo]) -> None:
         self.info = info
         self.helpers = helpers
-        # Local names currently bound to borrowed views.
-        self.borrowed: set[str] = set()
+        # Local names currently bound to borrowed views -> producer.
+        self.borrowed: dict[str, str] = {}
         self.param_index = {p: i for i, p in enumerate(info.params)}
         self.changed = False
-
-    # -- borrow classification ----------------------------------------------------
-
-    def _is_borrowed(self, expr: ast.AST) -> bool:
-        if isinstance(expr, ast.Name):
-            return expr.id in self.borrowed
-        if isinstance(expr, ast.Subscript):
-            return self._is_borrowed(expr.value)
-        if isinstance(expr, ast.Attribute):
-            return expr.attr in _VIEW_ATTRS and self._is_borrowed(expr.value)
-        if isinstance(expr, ast.Call):
-            return self._call_borrows(expr)
-        return False
-
-    def _call_borrows(self, call: ast.Call) -> bool:
-        dotted = _dotted(call.func) or ""
-        leaf = dotted.split(".")[-1]
-        if leaf in _BORROW_CALLS and not _writable_true(call):
-            return True
-        if (
-            isinstance(call.func, ast.Name)
-            and call.func.id in self.helpers
-            and self.helpers[call.func.id].returns_borrowed
-        ):
-            return True
-        if isinstance(call.func, ast.Attribute) and leaf in _VIEW_METHODS:
-            return self._is_borrowed(call.func.value)
-        return False
 
     # -- mutation recording ---------------------------------------------------------
 
@@ -363,41 +249,45 @@ class _HelperScan(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             if isinstance(target, (ast.Subscript, ast.Attribute)):
-                self._record_param_mutation(_root_name(target))
+                self._record_param_mutation(root_name(target))
             elif isinstance(target, ast.Name):
-                if self._is_borrowed(node.value):
-                    self.borrowed.add(target.id)
+                desc = _borrow_desc(node.value, self.borrowed, self.helpers)
+                if desc is not None:
+                    self.borrowed[target.id] = desc
                 else:
-                    self.borrowed.discard(target.id)
+                    self.borrowed.pop(target.id, None)
             elif isinstance(target, ast.Tuple) and isinstance(node.value, ast.Call):
-                dotted = _dotted(node.value.func) or ""
-                if dotted.split(".")[-1] in _BORROW_PAIR_CALLS and target.elts:
+                name = dotted(node.value.func) or ""
+                if name.split(".")[-1] in _BORROW_PAIR_CALLS and target.elts:
                     first = target.elts[0]
                     if isinstance(first, ast.Name):
-                        self.borrowed.add(first.id)
+                        self.borrowed[first.id] = f"{name}(...)"
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._record_param_mutation(_root_name(node.target))
+        self._record_param_mutation(root_name(node.target))
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         if isinstance(node.func, ast.Attribute):
             if node.func.attr in _NP_MUTATORS | _CONTAINER_MUTATORS:
-                self._record_param_mutation(_root_name(node.func.value))
+                self._record_param_mutation(root_name(node.func.value))
         for kw in node.keywords:
             if kw.arg == "out":
-                self._record_param_mutation(_root_name(kw.value))
+                self._record_param_mutation(root_name(kw.value))
         # Param handed to another mutating helper.
         if isinstance(node.func, ast.Name) and node.func.id in self.helpers:
             callee = self.helpers[node.func.id]
             for i, arg in enumerate(node.args):
                 if i in callee.mutated_params:
-                    self._record_param_mutation(_root_name(arg))
+                    self._record_param_mutation(root_name(arg))
         self.generic_visit(node)
 
     def visit_Return(self, node: ast.Return) -> None:
-        if node.value is not None and self._is_borrowed(node.value):
+        if (
+            node.value is not None
+            and _borrow_desc(node.value, self.borrowed, self.helpers) is not None
+        ):
             if not self.info.returns_borrowed:
                 self.info.returns_borrowed = True
                 self.changed = True
@@ -452,40 +342,13 @@ class _TaskWalker(ast.NodeVisitor):
             )
         )
 
-    # -- borrow classification (mirrors _HelperScan, plus descriptions) -------------
-
     def _borrow_desc(self, expr: ast.AST) -> str | None:
-        if isinstance(expr, ast.Name):
-            return self.borrowed.get(expr.id)
-        if isinstance(expr, ast.Subscript):
-            return self._borrow_desc(expr.value)
-        if isinstance(expr, ast.Attribute):
-            if expr.attr in _VIEW_ATTRS:
-                return self._borrow_desc(expr.value)
-            return None
-        if isinstance(expr, ast.Call):
-            return self._call_borrow_desc(expr)
-        return None
-
-    def _call_borrow_desc(self, call: ast.Call) -> str | None:
-        dotted = _dotted(call.func) or ""
-        leaf = dotted.split(".")[-1]
-        if leaf in _BORROW_CALLS and not _writable_true(call):
-            return f"{dotted}(...)"
-        if (
-            isinstance(call.func, ast.Name)
-            and call.func.id in self.helpers
-            and self.helpers[call.func.id].returns_borrowed
-        ):
-            return f"{call.func.id}(...) (helper returning a borrowed view)"
-        if isinstance(call.func, ast.Attribute) and leaf in _VIEW_METHODS:
-            return self._borrow_desc(call.func.value)
-        return None
+        return _borrow_desc(expr, self.borrowed, self.helpers)
 
     # -- mutation / escape dispatch --------------------------------------------------
 
     def _check_mutation(self, target: ast.AST, node: ast.AST, what: str) -> None:
-        root = _root_name(target)
+        root = root_name(target)
         if root is None:
             return
         if root in self.borrowed:
@@ -501,7 +364,7 @@ class _TaskWalker(ast.NodeVisitor):
             return
         if (
             root not in self.local_names
-            and root not in _API_PARAMS
+            and root not in API_PARAMS
             and root != self.self_name
             and root in self.module_globals
         ) or root in self.declared_global:
@@ -517,7 +380,7 @@ class _TaskWalker(ast.NodeVisitor):
     def _check_capture(self, name: str, node: ast.AST) -> None:
         if (
             name in self.local_names
-            or name in _API_PARAMS
+            or name in API_PARAMS
             or name == self.self_name
             or name in self.reported_captures
         ):
@@ -555,7 +418,7 @@ class _TaskWalker(ast.NodeVisitor):
         desc = self._borrow_desc(value)
         pair = (
             isinstance(value, ast.Call)
-            and (_dotted(value.func) or "").split(".")[-1] in _BORROW_PAIR_CALLS
+            and (dotted(value.func) or "").split(".")[-1] in _BORROW_PAIR_CALLS
         )
         for target in targets:
             if isinstance(target, ast.Name):
@@ -566,15 +429,15 @@ class _TaskWalker(ast.NodeVisitor):
             elif isinstance(target, ast.Tuple) and pair and target.elts:
                 first = target.elts[0]
                 if isinstance(first, ast.Name):
-                    dotted = _dotted(value.func) or "read_through"
-                    self.borrowed[first.id] = f"{dotted}(...)"
+                    name = dotted(value.func) or "read_through"
+                    self.borrowed[first.id] = f"{name}(...)"
 
     def visit_Assign(self, node: ast.Assign) -> None:
         self.visit(node.value)
         for target in node.targets:
             if isinstance(target, (ast.Subscript, ast.Attribute)):
                 self._check_mutation(target, node, "assignment")
-                root = _root_name(target)
+                root = root_name(target)
                 if (
                     isinstance(target, ast.Attribute)
                     and root is not None
@@ -619,8 +482,8 @@ class _TaskWalker(ast.NodeVisitor):
             self.visit(node.value)
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func) or ""
-        parts = dotted.split(".")
+        name = dotted(node.func) or ""
+        parts = name.split(".")
         leaf = parts[-1] if parts else ""
 
         # PS006: module-global RNG.
@@ -628,7 +491,7 @@ class _TaskWalker(ast.NodeVisitor):
             if parts[0] == "random" or "random" in parts[:-1]:
                 self._emit(
                     "PS006",
-                    f"calls {dotted}() — the process-wide global RNG",
+                    f"calls {name}() — the process-wide global RNG",
                     node,
                     hint="forked workers inherit identical RNG state; use a "
                     "private default_rng(seed) derived from the split or "
@@ -641,11 +504,11 @@ class _TaskWalker(ast.NodeVisitor):
                 self._check_mutation(node.func.value, node, f"call to .{leaf}()")
             # PS005: borrowed view appended to a captured container.
             if leaf in _ESCAPE_APPENDERS:
-                root = _root_name(node.func.value)
+                root = root_name(node.func.value)
                 if (
                     root is not None
                     and root not in self.local_names
-                    and root not in _API_PARAMS
+                    and root not in API_PARAMS
                     and root not in self.module_imports
                 ):
                     for arg in node.args:
@@ -726,8 +589,8 @@ class _ShmWalker(ast.NodeVisitor):
         value = node.value
         targets = [t for t in node.targets if isinstance(t, ast.Name)]
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func) or ""
-            leaf = dotted.split(".")[-1]
+            name = dotted(value.func) or ""
+            leaf = name.split(".")[-1]
             if leaf == "SharedMemory":
                 for t in targets:
                     self.shm_vars.add(t.id)
@@ -769,53 +632,18 @@ class _ShmWalker(ast.NodeVisitor):
 # -- the analyzer -----------------------------------------------------------------
 
 
-@dataclass
-class _TaskFn:
-    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda
-    qualname: str
-    bindings: dict[str, ast.AST]
-    self_name: str | None = None
-
-
-@dataclass
-class _ModuleSource:
-    filename: str
-    tree: ast.Module
-    lines: list[str]
-
-
-class ProcSafetyAnalyzer:
+class ProcSafetyAnalyzer(SourceSet):
     """Process-safety analysis over one or more modules (no imports
     executed).  ``add_module``/``add_file`` then ``run``."""
 
-    def __init__(self) -> None:
-        self.modules: list[_ModuleSource] = []
-        self.findings: list[Finding] = []
-
-    def add_module(self, text: str, filename: str = "<string>") -> None:
-        try:
-            tree = ast.parse(text, filename=filename)
-        except SyntaxError as exc:
-            self.findings.append(
-                Finding.of(
-                    "PS001",
-                    f"{filename} does not parse: {exc.msg} (line {exc.lineno})",
-                    location=f"{filename}:{exc.lineno or 1}",
-                )
-            )
-            return
-        self.modules.append(_ModuleSource(filename, tree, text.splitlines()))
-
-    def add_file(self, path: str | pathlib.Path) -> None:
-        path = pathlib.Path(path)
-        self.add_module(path.read_text(encoding="utf-8"), str(path))
+    parse_rule = "PS001"
 
     # -- per-module machinery -------------------------------------------------------
 
     @staticmethod
     def _helper_summaries(tree: ast.Module) -> dict[str, _HelperInfo]:
         helpers = {
-            stmt.name: _HelperInfo(stmt, _function_param_names(stmt))
+            stmt.name: _HelperInfo(stmt, function_param_names(stmt))
             for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
@@ -824,7 +652,6 @@ class ProcSafetyAnalyzer:
             changed = False
             for info in helpers.values():
                 scan = _HelperScan(info, helpers)
-                scan.borrowed.clear()
                 for stmt in info.node.body:
                     scan.visit(stmt)
                 changed = changed or scan.changed
@@ -832,203 +659,16 @@ class ProcSafetyAnalyzer:
                 break
         return helpers
 
-    def _discover(self, mod: _ModuleSource) -> list[tuple[_TaskFn, str]]:
-        """All task-boundary functions with their capture environments.
-        Returns ``(task_fn, kind)`` pairs; ``kind`` labels the discovery
-        route for messages."""
-        found: list[tuple[_TaskFn, str]] = []
-        seen: set[ast.AST] = set()
-        lines = mod.lines
-
-        def boundary_annotated(node: ast.AST) -> bool:
-            lineno = getattr(node, "lineno", 0)
-            if 1 <= lineno <= len(lines):
-                return bool(_BOUNDARY_RE.search(lines[lineno - 1]))
-            return False
-
-        def register(
-            node: ast.AST,
-            qualname: str,
-            bindings: dict[str, ast.AST],
-            kind: str,
-            self_name: str | None = None,
-        ) -> None:
-            if node in seen or not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                return
-            seen.add(node)
-            found.append(
-                (_TaskFn(node, qualname, dict(bindings), self_name), kind)
-            )
-
-        def class_instance_checks(
-            cls: ast.ClassDef, bindings: dict[str, ast.AST]
-        ) -> None:
-            """Register task methods + __init__ capture checks of a class."""
-            for stmt in cls.body:
-                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if stmt.name in _TASK_METHODS:
-                    params = _function_param_names(stmt)
-                    register(
-                        stmt,
-                        f"{cls.name}.{stmt.name}",
-                        bindings,
-                        "method",
-                        self_name=params[0] if params else None,
-                    )
-                elif stmt.name == "__init__":
-                    self._check_init_captures(mod, cls, stmt, bindings)
-
-        def hook_target(call: ast.Call, bindings: dict[str, ast.AST]) -> None:
-            """``x.before_job.append(arg)`` — analyze the hook."""
-            if not call.args:
-                return
-            arg: ast.AST = call.args[0]
-            if isinstance(arg, ast.Name):
-                arg = bindings.get(arg.id, arg)
-            if isinstance(arg, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                register(arg, f"{arg.name} (before_job hook)", bindings, "hook")
-            elif isinstance(arg, ast.Lambda):
-                register(
-                    arg, f"<lambda:{arg.lineno}> (before_job hook)", bindings, "hook"
-                )
-            elif isinstance(arg, ast.Call):
-                # Callable hook object: its constructor arguments cross the
-                # boundary with it.
-                ctor = _dotted(arg.func) or "hook"
-                for sub in (*arg.args, *(kw.value for kw in arg.keywords)):
-                    expr = sub
-                    if isinstance(sub, ast.Name):
-                        expr = bindings.get(sub.id, sub)
-                    classified = _classify_value(expr)
-                    if classified is not None:
-                        rule, desc = classified
-                        self.findings.append(
-                            Finding.of(
-                                rule,
-                                f"before_job hook {ctor}(...) captures "
-                                f"{desc} by value",
-                                location=f"{mod.filename}:{call.lineno}",
-                                hint="hooks ride the job launch path; keep "
-                                "engine handles out of their state or keep "
-                                "the hook driver-side",
-                            )
-                        )
-                # Same-module class: analyze its __call__ too.
-                cls = bindings.get(ctor.split(".")[0])
-                if isinstance(cls, ast.ClassDef):
-                    for stmt in cls.body:
-                        if (
-                            isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and stmt.name == "__call__"
-                        ):
-                            params = _function_param_names(stmt)
-                            register(
-                                stmt,
-                                f"{cls.name}.__call__ (before_job hook)",
-                                bindings,
-                                "hook",
-                                self_name=params[0] if params else None,
-                            )
-
-        def scan_region(
-            stmts: Iterable[ast.stmt],
-            outer: dict[str, ast.AST],
-            qual: str,
-        ) -> None:
-            merged = {**outer, **_scope_bindings(stmts)}
-
-            def walk(node: ast.AST) -> None:
-                if isinstance(node, ast.ClassDef):
-                    if _class_is_task(node):
-                        class_instance_checks(node, merged)
-                    for stmt in node.body:
-                        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                            shadow = dict(merged)
-                            for p in _function_param_names(stmt):
-                                shadow.pop(p, None)
-                            scan_region(
-                                stmt.body, shadow, f"{qual}{node.name}.{stmt.name}."
-                            )
-                    return
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if boundary_annotated(node):
-                        register(node, f"{qual}{node.name}", merged, "boundary")
-                    shadow = dict(merged)
-                    for p in _function_param_names(node):
-                        shadow.pop(p, None)
-                    scan_region(node.body, shadow, f"{qual}{node.name}.")
-                    return
-                if isinstance(node, ast.Lambda):
-                    if boundary_annotated(node):
-                        register(
-                            node, f"{qual}<lambda:{node.lineno}>", merged, "boundary"
-                        )
-                    # Lambdas registered through other routes are handled
-                    # there; still scan the body expression for patterns.
-                    walk(node.body)
-                    return
-                if isinstance(node, ast.Call):
-                    self._discover_call(node, merged, qual, register, hook_target)
-                for child in ast.iter_child_nodes(node):
-                    walk(child)
-
-            for stmt in stmts:
-                walk(stmt)
-
-        scan_region(mod.tree.body, {}, "")
-        return found
-
-    def _discover_call(
-        self,
-        node: ast.Call,
-        bindings: dict[str, ast.AST],
-        qual: str,
-        register,
-        hook_target,
-    ) -> None:
-        callee = _dotted(node.func) or ""
-        leaf = callee.split(".")[-1]
-        if leaf in ("FnMapper", "FnReducer") and node.args:
-            arg: ast.AST = node.args[0]
-            if isinstance(arg, ast.Name):
-                arg = bindings.get(arg.id, arg)
-                label = getattr(arg, "name", None) or _dotted(node.args[0]) or "task"
-            else:
-                label = f"<lambda:{getattr(arg, 'lineno', node.lineno)}>"
-            register(arg, f"{qual}{label}", bindings, "fn")
-        elif leaf == "JobConf":
-            for kw in node.keywords:
-                if kw.arg not in _FACTORY_KEYWORDS:
-                    continue
-                value: ast.AST = kw.value
-                if isinstance(value, ast.Name):
-                    value = bindings.get(value.id, value)
-                label = (
-                    getattr(value, "name", None)
-                    or f"<lambda:{getattr(value, 'lineno', node.lineno)}>"
-                )
-                register(value, f"{qual}{label} ({kw.arg})", bindings, "factory")
-        elif (
-            leaf == "append"
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Attribute)
-            and node.func.value.attr == "before_job"
-        ):
-            hook_target(node, bindings)
-
     def _check_init_captures(
         self,
-        mod: _ModuleSource,
+        mod: ModuleSource,
         cls: ast.ClassDef,
         init: ast.FunctionDef | ast.AsyncFunctionDef,
         bindings: dict[str, ast.AST],
     ) -> None:
         """``self.x = <lock/handle/...>`` in a task __init__: the instance
         ships to the worker with that object aboard."""
-        local = _scope_bindings(init.body)
+        local = scope_bindings(init.body)
         for stmt in ast.walk(init):
             if not isinstance(stmt, ast.Assign):
                 continue
@@ -1057,36 +697,54 @@ class ProcSafetyAnalyzer:
                         )
                     )
 
+    def _check_hook_object(
+        self,
+        mod: ModuleSource,
+        call: ast.Call,
+        ctor: ast.Call,
+        bindings: dict[str, ast.AST],
+    ) -> None:
+        """``x.before_job.append(Hook(...))``: the constructor arguments
+        ride the job launch path with the hook object."""
+        label = dotted(ctor.func) or "hook"
+        for sub in (*ctor.args, *(kw.value for kw in ctor.keywords)):
+            expr = sub
+            if isinstance(sub, ast.Name):
+                expr = bindings.get(sub.id, sub)
+            classified = _classify_value(expr)
+            if classified is not None:
+                rule, desc = classified
+                self.findings.append(
+                    Finding.of(
+                        rule,
+                        f"before_job hook {label}(...) captures {desc} by value",
+                        location=f"{mod.filename}:{call.lineno}",
+                        hint="hooks ride the job launch path; keep engine "
+                        "handles out of their state or keep the hook "
+                        "driver-side",
+                    )
+                )
+
     # -- running --------------------------------------------------------------------
 
     @staticmethod
     def _module_imports(tree: ast.Module) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    names.add((alias.asname or alias.name).split(".")[0])
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    names.add(alias.asname or alias.name)
-        return names
+        return {
+            name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in import_names(node)
+        }
 
     def _analyze_task_fn(
         self,
-        mod: _ModuleSource,
-        task: _TaskFn,
+        mod: ModuleSource,
+        task: TaskFn,
         helpers: dict[str, _HelperInfo],
         module_globals: set[str],
         module_imports: set[str],
     ) -> None:
         node = task.node
-        params = _function_param_names(node)
-        if isinstance(node, ast.Lambda):
-            body: list[ast.stmt] = []
-            local = set(params)
-        else:
-            body = node.body
-            local = _local_names(body) | set(params)
         walker = _TaskWalker(
             qualname=task.qualname,
             filename=mod.filename,
@@ -1094,14 +752,14 @@ class ProcSafetyAnalyzer:
             module_globals=module_globals,
             module_imports=module_imports,
             helpers=helpers,
-            params=params,
-            local_names=local,
+            params=function_param_names(node),
+            local_names=local_names(node),
             self_name=task.self_name,
         )
         if isinstance(node, ast.Lambda):
             walker.visit(node.body)
         else:
-            for stmt in body:
+            for stmt in node.body:
                 walker.visit(stmt)
         self.findings.extend(walker.findings)
 
@@ -1110,13 +768,18 @@ class ProcSafetyAnalyzer:
             helpers = self._helper_summaries(mod.tree)
             module_globals = {
                 name
-                for name, expr in _scope_bindings(mod.tree.body).items()
+                for name, expr in scope_bindings(mod.tree.body).items()
                 if not isinstance(
                     expr, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
                 )
             }
             module_imports = self._module_imports(mod.tree)
-            for task, _kind in self._discover(mod):
+            found = discover_tasks(mod)
+            for cls, init, bindings in found.inits:
+                self._check_init_captures(mod, cls, init, bindings)
+            for call, ctor, bindings in found.hook_objects:
+                self._check_hook_object(mod, call, ctor, bindings)
+            for task in found.tasks:
                 self._analyze_task_fn(
                     mod, task, helpers, module_globals, module_imports
                 )
@@ -1128,29 +791,7 @@ class ProcSafetyAnalyzer:
                     for stmt in node.body:
                         shm.visit(stmt)
                     self.findings.extend(shm.findings)
-        return self._suppressed_filtered()
-
-    def _suppressed_filtered(self) -> list[Finding]:
-        lines_by_file = {m.filename: m.lines for m in self.modules}
-        out: list[Finding] = []
-        seen: set[tuple[str, str, str]] = set()
-        for f in self.findings:
-            filename, _, lineno = f.location.rpartition(":")
-            lines = lines_by_file.get(filename)
-            if (
-                lines is not None
-                and lineno.isdigit()
-                and 1 <= int(lineno) <= len(lines)
-                and _line_suppresses(lines[int(lineno) - 1], f.rule)
-            ):
-                continue
-            key = (f.rule, f.message, f.location)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(f)
-        out.sort(key=lambda f: (f.location, f.rule))
-        return out
+        return self.filtered()
 
 
 # -- public API -------------------------------------------------------------------
@@ -1158,16 +799,8 @@ class ProcSafetyAnalyzer:
 
 def default_procsafety_files() -> list[pathlib.Path]:
     """Every module of the installed ``repro`` package — the engine sweep
-    population for ``python -m repro lint --procsafety``.
-
-    ``__pycache__`` is excluded: an installation can leave stale ``.py``
-    artifacts there (editable installs, source-preserving bytecode caches),
-    and sweeping them would lint code that no longer exists.
-    """
-    root = pathlib.Path(__file__).resolve().parent.parent
-    return sorted(
-        p for p in root.rglob("*.py") if "__pycache__" not in p.parts
-    )
+    population for ``python -m repro lint --procsafety``."""
+    return package_files()
 
 
 def analyze_procsafety_sources(

@@ -34,11 +34,20 @@ from __future__ import annotations
 import ast
 import inspect
 import linecache
-import re
 import textwrap
 from typing import Any, Callable, Iterable
 
 from ..mapreduce.job import FnMapper, FnReducer, JobConf, Mapper, Reducer
+from .astutil import (
+    API_PARAMS,
+    discover_tasks,
+    dotted,
+    filter_suppressed,
+    function_param_names,
+    load_module,
+    local_names,
+    root_name,
+)
 from .findings import Finding
 
 #: Method names whose call mutates the receiver in place.
@@ -67,52 +76,31 @@ _NONDET_BARE = frozenset(
     }
 )
 
-#: Parameter names that are the sanctioned task API, not data inputs.
-_API_PARAMS = frozenset({"self", "cls", "ctx", "context"})
-
-_IGNORE_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _root_name(node: ast.AST) -> str | None:
-    """Leftmost Name of an attribute/subscript chain (``a`` in ``a.b[0].c``)."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
+#: Task methods analyzed.  Only the record-level ones must leave ``self``
+#: unchanged: setup/cleanup legitimately build per-task state.
+_TASK_METHODS = ("setup", "map", "map_record", "reduce", "cleanup")
+_STATEFUL_METHODS = ("map", "map_record", "reduce")
 
 
 def _is_nondet_call(call: ast.Call) -> str | None:
     """A human-readable description when ``call`` is nondeterministic."""
-    dotted = _dotted(call.func)
-    if dotted is None:
+    name = dotted(call.func)
+    if name is None:
         return None
-    parts = dotted.split(".")
+    parts = name.split(".")
     leaf = parts[-1]
     if leaf == "default_rng" or leaf == "Generator":
         if not call.args and not call.keywords:
-            return f"{dotted}() without a seed"
+            return f"{name}() without a seed"
         return None
     if leaf == "seed":
         return None  # explicit seeding is the fix, not the defect
     if parts[0] in ("random", "secrets"):
-        return f"{dotted}()"
+        return f"{name}()"
     if "random" in parts[:-1]:  # np.random.*, numpy.random.*
-        return f"{dotted}()"
-    if dotted in _NONDET_EXACT:
-        return f"{dotted}()"
+        return f"{name}()"
+    if name in _NONDET_EXACT:
+        return f"{name}()"
     if len(parts) == 1 and leaf in _NONDET_BARE:
         return f"{leaf}()"
     if len(parts) == 1 and leaf == "time":
@@ -125,27 +113,27 @@ def _is_wallclock_or_unseeded(call: ast.Call) -> str | None:
     wall-clock formatting/reads and seedable generator classes constructed
     without arguments (``random.*`` and ``np.random.*`` dotted calls are
     PU002 territory; this catches the bare-import spellings)."""
-    dotted = _dotted(call.func)
-    if dotted is None:
+    name = dotted(call.func)
+    if name is None:
         return None
-    parts = dotted.split(".")
+    parts = name.split(".")
     leaf = parts[-1]
     if (
         leaf in ("Random", "RandomState", "SystemRandom")
         and not call.args
         and not call.keywords
     ):
-        return f"{dotted}() without a seed"
+        return f"{name}() without a seed"
     if len(parts) >= 2:
         if leaf in ("now", "utcnow", "today") and parts[-2] in (
             "datetime",
             "date",
         ):
-            return f"{dotted}()"
+            return f"{name}()"
         if parts[0] == "time" and leaf in (
             "localtime", "gmtime", "ctime", "asctime", "strftime",
         ):
-            return f"{dotted}()"
+            return f"{name}()"
     return None
 
 
@@ -156,34 +144,11 @@ def _set_iteration_desc(node: ast.AST) -> str | None:
     if isinstance(node, ast.SetComp):
         return "a set comprehension"
     if isinstance(node, ast.Call):
-        dotted = _dotted(node.func)
-        leaf = dotted.split(".")[-1] if dotted else ""
+        name = dotted(node.func)
+        leaf = name.split(".")[-1] if name else ""
         if leaf in ("set", "frozenset"):
             return f"{leaf}(...)"
     return None
-
-
-class _CollectLocals(ast.NodeVisitor):
-    """Pre-pass: every name the function binds locally (params included)."""
-
-    def __init__(self) -> None:
-        self.names: set[str] = set()
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, (ast.Store, ast.Del)):
-            self.names.add(node.id)
-
-    def visit_For(self, node: ast.For) -> None:
-        self.generic_visit(node)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.names.add(node.name)  # nested def binds its name; skip its body
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self.names.add(node.name)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        pass
 
 
 class _TaskBodyVisitor(ast.NodeVisitor):
@@ -228,7 +193,7 @@ class _TaskBodyVisitor(ast.NodeVisitor):
 
     def _classify_root(self, target: ast.AST, node: ast.AST, what: str) -> None:
         """Report mutation of ``target`` according to who owns its root."""
-        root = _root_name(target)
+        root = root_name(target)
         if root is None:
             return
         if root == self.self_name or root in ("self", "cls"):
@@ -241,7 +206,7 @@ class _TaskBodyVisitor(ast.NodeVisitor):
                     "state diverges under retries and speculation",
                 )
             return
-        if root in _API_PARAMS:
+        if root in API_PARAMS:
             return
         if root in self.input_params:
             self._emit(
@@ -347,88 +312,31 @@ class _TaskBodyVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _function_findings(
-    func_node: ast.FunctionDef | ast.AsyncFunctionDef,
+def _task_findings(
+    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda,
     *,
     qualname: str,
     filename: str,
     line_offset: int = 0,
-    check_self_state: bool,
+    check_self_state: bool = False,
 ) -> list[Finding]:
-    """Analyze one function AST node."""
-    arg_names = [a.arg for a in func_node.args.args]
-    arg_names += [a.arg for a in func_node.args.posonlyargs]
-    arg_names += [a.arg for a in func_node.args.kwonlyargs]
-    self_name = (
-        arg_names[0]
-        if arg_names and arg_names[0] in ("self", "cls")
-        else None
-    )
-    input_params = {a for a in arg_names if a not in _API_PARAMS}
-
-    locals_pass = _CollectLocals()
-    for stmt in func_node.body:
-        locals_pass.visit(stmt)
-    local_names = locals_pass.names | set(arg_names)
-
+    """Analyze one function or lambda AST node."""
+    params = function_param_names(node)
     visitor = _TaskBodyVisitor(
         qualname=qualname,
         filename=filename,
         line_offset=line_offset,
-        input_params=input_params,
-        local_names=local_names,
-        self_name=self_name,
+        input_params={p for p in params if p not in API_PARAMS},
+        local_names=local_names(node),
+        self_name=params[0] if params and params[0] in ("self", "cls") else None,
         check_self_state=check_self_state,
     )
-    for stmt in func_node.body:
-        visitor.visit(stmt)
+    if isinstance(node, ast.Lambda):
+        visitor.visit(node.body)
+    else:
+        for stmt in node.body:
+            visitor.visit(stmt)
     return visitor.findings
-
-
-def _lambda_findings(
-    lam: ast.Lambda,
-    *,
-    qualname: str,
-    filename: str,
-    line_offset: int = 0,
-) -> list[Finding]:
-    """Analyze one lambda AST node (no statements, so no locals pre-pass)."""
-    arg_names = [
-        a.arg
-        for a in (*lam.args.posonlyargs, *lam.args.args, *lam.args.kwonlyargs)
-    ]
-    visitor = _TaskBodyVisitor(
-        qualname=qualname,
-        filename=filename,
-        line_offset=line_offset,
-        input_params={a for a in arg_names if a not in _API_PARAMS},
-        local_names=set(arg_names),
-        self_name=None,
-        check_self_state=False,
-    )
-    visitor.visit(lam.body)
-    return visitor.findings
-
-
-def _suppressed(finding: Finding) -> bool:
-    """Honour ``# lint: ignore[...]`` on the finding's source line."""
-    if ":" not in finding.location:
-        return False
-    filename, _, lineno = finding.location.rpartition(":")
-    if not lineno.isdigit():
-        return False
-    line = linecache.getline(filename, int(lineno))
-    return _line_suppresses(line, finding.rule)
-
-
-def _line_suppresses(line: str, rule: str) -> bool:
-    match = _IGNORE_RE.search(line)
-    if not match:
-        return False
-    rules = match.group(1)
-    if rules is None:
-        return True
-    return rule in {r.strip().upper() for r in rules.split(",")}
 
 
 # One analysis per code object: factories recreate task instances per call,
@@ -445,9 +353,8 @@ def _analyze_function_obj(
         return list(_CODE_CACHE[key])
     qualname = getattr(fn, "__qualname__", repr(fn))
     try:
-        source = inspect.getsource(fn)
+        source_lines, base_line = inspect.getsourcelines(fn)
         filename = inspect.getsourcefile(fn) or "<unknown>"
-        _, base_line = inspect.getsourcelines(fn)
     except (OSError, TypeError):
         return [
             Finding.of(
@@ -458,7 +365,7 @@ def _analyze_function_obj(
             )
         ]
     try:
-        tree = ast.parse(textwrap.dedent(source))
+        tree = ast.parse(textwrap.dedent("".join(source_lines)))
     except SyntaxError:
         return [
             Finding.of(
@@ -476,7 +383,7 @@ def _analyze_function_obj(
         None,
     )
     if func_node is not None:
-        findings = _function_findings(
+        findings = _task_findings(
             func_node,
             qualname=qualname,
             filename=filename,
@@ -507,13 +414,14 @@ def _analyze_function_obj(
                     location=filename,
                 )
             ]
-        findings = _lambda_findings(
+        findings = _task_findings(
             lambdas[0],
             qualname=qualname,
             filename=filename,
             line_offset=base_line - 1,
         )
-    findings = [f for f in findings if not _suppressed(f)]
+    # inspect read the file through linecache, so this is a cache hit.
+    findings = filter_suppressed(findings, {filename: linecache.getlines(filename)})
     if code is not None:
         _CODE_CACHE[key] = tuple(findings)
     return findings
@@ -523,7 +431,7 @@ def _overridden_methods(obj: Mapper | Reducer) -> list[tuple[str, Callable[..., 
     """(name, function) for task methods the class actually overrides."""
     base = Mapper if isinstance(obj, Mapper) else Reducer
     out: list[tuple[str, Callable[..., Any]]] = []
-    for name in ("setup", "map", "map_record", "reduce", "cleanup"):
+    for name in _TASK_METHODS:
         fn = getattr(type(obj), name, None)
         if fn is None or getattr(base, name, None) is fn:
             continue
@@ -545,9 +453,7 @@ def analyze_callable(obj: Any) -> list[Finding]:
         for name, fn in _overridden_methods(obj):
             findings.extend(
                 _analyze_function_obj(
-                    fn,
-                    # setup/cleanup legitimately build per-task state.
-                    check_self_state=name in ("map", "map_record", "reduce"),
+                    fn, check_self_state=name in _STATEFUL_METHODS
                 )
             )
         return findings
@@ -576,114 +482,37 @@ def analyze_job(conf: JobConf) -> list[Finding]:
             continue
         findings.extend(analyze_callable(task))
     # The same class serves many jobs; drop exact duplicates.
-    seen: set[tuple[str, str, str]] = set()
-    unique: list[Finding] = []
-    for f in findings:
-        key = (f.rule, f.message, f.location)
-        if key not in seen:
-            seen.add(key)
-            unique.append(f)
-    return unique
+    return filter_suppressed(findings, {})
 
 
 # -- source-file analysis (no imports executed) ---------------------------------
 
 
-def _class_is_task(node: ast.ClassDef) -> bool:
-    base_names = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", "") for b in node.bases}
-    if any("Mapper" in b or "Reducer" in b for b in base_names):
-        return True
-    methods = {
-        stmt.name
-        for stmt in node.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    return bool(methods & {"map", "map_record", "reduce"})
-
-
 def analyze_source(text: str, filename: str = "<string>") -> list[Finding]:
     """Purity findings for every task callable defined in a source file.
 
-    Analyzes (a) methods of classes that look like mappers/reducers
-    (subclass naming or a ``map``/``map_record``/``reduce`` method) and
-    (b) functions passed to ``FnMapper``/``FnReducer`` anywhere in the file.
-    Driver-side code is deliberately not checked: seeding generators or
-    timing on the master is fine — only task bodies must be pure.
+    Analyzes, through the shared task-boundary discovery, (a) the task
+    methods of classes that look like mappers/reducers (subclass naming or
+    a ``map``/``map_record``/``reduce`` method) and (b) functions and
+    lambdas passed to ``FnMapper``/``FnReducer``, resolved in the scope of
+    the call.  Driver-side code is deliberately not checked: seeding
+    generators or timing on the master is fine — only task bodies must be
+    pure.
     """
-    try:
-        tree = ast.parse(text, filename=filename)
-    except SyntaxError as exc:
-        return [
-            Finding.of(
-                "PU001",
-                f"{filename} does not parse: {exc.msg} (line {exc.lineno})",
-                location=f"{filename}:{exc.lineno or 1}",
-            )
-        ]
-    lines = text.splitlines()
+    module = load_module(text, filename, "PU001")
+    if isinstance(module, Finding):
+        return [module]
     findings: list[Finding] = []
-
-    functions: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions.setdefault(node.name, node)
-
-    analyzed: set[ast.AST] = set()
-
-    def run(
-        func_node: ast.FunctionDef | ast.AsyncFunctionDef,
-        qualname: str,
-        *,
-        check_self_state: bool,
-    ) -> None:
-        if func_node in analyzed:
-            return
-        analyzed.add(func_node)
-        findings.extend(
-            _function_findings(
-                func_node,
-                qualname=qualname,
+    for task in discover_tasks(module).tasks:
+        node = task.node
+        name = getattr(node, "name", f"<lambda:{node.lineno}>")
+        if task.kind == "method" and name in _TASK_METHODS:
+            findings += _task_findings(
+                node,
+                qualname=task.qualname,
                 filename=filename,
-                check_self_state=check_self_state,
+                check_self_state=name in _STATEFUL_METHODS,
             )
-        )
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and _class_is_task(node):
-            for stmt in node.body:
-                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if stmt.name in ("map", "map_record", "reduce", "setup", "cleanup"):
-                    run(
-                        stmt,
-                        f"{node.name}.{stmt.name}",
-                        check_self_state=stmt.name
-                        in ("map", "map_record", "reduce"),
-                    )
-        elif isinstance(node, ast.Call):
-            callee = node.func
-            callee_name = (
-                callee.id
-                if isinstance(callee, ast.Name)
-                else getattr(callee, "attr", "")
-            )
-            if callee_name in ("FnMapper", "FnReducer") and node.args:
-                arg = node.args[0]
-                if isinstance(arg, ast.Name) and arg.id in functions:
-                    run(functions[arg.id], arg.id, check_self_state=False)
-                elif isinstance(arg, ast.Lambda):
-                    findings.extend(
-                        _lambda_findings(
-                            arg,
-                            qualname=f"<lambda:{arg.lineno}>",
-                            filename=filename,
-                        )
-                    )
-
-    def keep(f: Finding) -> bool:
-        _, _, lineno = f.location.rpartition(":")
-        if lineno.isdigit() and 1 <= int(lineno) <= len(lines):
-            return not _line_suppresses(lines[int(lineno) - 1], f.rule)
-        return True
-
-    return [f for f in findings if keep(f)]
+        elif task.kind == "fn":
+            findings += _task_findings(node, qualname=name, filename=filename)
+    return filter_suppressed(findings, {filename: module.lines})

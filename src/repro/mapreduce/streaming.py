@@ -88,8 +88,10 @@ class StreamingReducer(Reducer):
         self._lines = []
 
     def reduce(self, ctx: TaskContext, key: Any, values: Iterable[Any]) -> None:
+        # setup() resets the buffer on every attempt, so a retried or
+        # speculative attempt never sees another attempt's lines.
         for value in values:
-            self._lines.append(f"{key}\t{value}")
+            self._lines.append(f"{key}\t{value}")  # lint: ignore[PU005]
 
     def cleanup(self, ctx: TaskContext) -> None:
         for out_line in run_streaming_process(self.command, self._lines, self.timeout):
